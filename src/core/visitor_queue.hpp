@@ -158,9 +158,11 @@ class visitor_queue {
                             static_cast<double>(graph_->master_rank(v.vertex)));
     }
     if constexpr (Visitor::uses_ghosts) {
-      if (cfg_.use_ghosts && graph_->has_local_ghost(v.vertex)) {
+      const auto ghost =
+          cfg_.use_ghosts ? graph_->ghost_slot_of(v.vertex) : std::nullopt;
+      if (ghost) {
         Visitor copy = v;
-        if (!copy.pre_visit(state_->ghost(graph_->ghost_slot(v.vertex)))) {
+        if (!copy.pre_visit(state_->ghost(*ghost))) {
           ++stats_.ghost_filtered;
           if (ctx != 0) {
             obs::trace_flow_end("visitor.ghost_filtered", obs::ctx_flow_id(ctx));

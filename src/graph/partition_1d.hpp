@@ -88,8 +88,9 @@ class graph_1d {
   }
   [[nodiscard]] int max_owner(vertex_locator v) const { return v.owner(); }
   [[nodiscard]] int next_owner_after(vertex_locator, int) const { return -1; }
-  [[nodiscard]] bool has_local_ghost(vertex_locator) const { return false; }
-  [[nodiscard]] std::size_t ghost_slot(vertex_locator) const { return 0; }
+  [[nodiscard]] std::optional<std::size_t> ghost_slot_of(vertex_locator) const {
+    return std::nullopt;
+  }
 
   template <typename T>
   [[nodiscard]] vertex_state<T> make_state(T init) const {

@@ -122,9 +122,8 @@ concept partitioned_graph = requires(const G& g, const vertex_locator v,
   { g.next_owner_after(v, int{}) } -> std::convertible_to<int>;
   /// Local state slot for v, if this rank holds master/replica/sink state.
   { g.slot_of(v) } -> std::convertible_to<std::optional<std::size_t>>;
-  /// Ghost filter lookups (paper §IV-B).
-  { g.has_local_ghost(v) } -> std::convertible_to<bool>;
-  { g.ghost_slot(v) } -> std::convertible_to<std::size_t>;
+  /// Ghost filter lookup (paper §IV-B): v's local ghost slot, if any.
+  { g.ghost_slot_of(v) } -> std::convertible_to<std::optional<std::size_t>>;
 };
 
 }  // namespace sfg::graph

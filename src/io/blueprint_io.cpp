@@ -1,5 +1,6 @@
 #include "io/blueprint_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -75,6 +76,24 @@ class reader {
   std::string path_;
 };
 
+/// The ghost list feeds distributed_graph's flat ghost index, which
+/// takes the all-ones locator as its empty key and assumes distinct keys;
+/// a ghost must also name a vertex mastered on another, existing rank.
+void check_ghosts(const graph::partition_blueprint& bp, const std::string& path) {
+  std::vector<std::uint64_t> sorted = bp.ghost_locator_bits;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    fail("duplicate ghost locator", path);
+  }
+  for (const std::uint64_t bits : sorted) {
+    const auto loc = graph::vertex_locator::from_bits(bits);
+    if (!loc.valid()) fail("invalid ghost locator", path);
+    if (loc.owner() == bp.rank || loc.owner() >= bp.p) {
+      fail("ghost owner is this rank or out of range", path);
+    }
+  }
+}
+
 }  // namespace
 
 void save_blueprint(const std::string& path,
@@ -144,6 +163,7 @@ graph::partition_blueprint load_blueprint(const std::string& path) {
     e.owners = r.vec<int>();
   }
   bp.ghost_locator_bits = r.vec<std::uint64_t>();
+  check_ghosts(bp, path);
   const auto dir_keys = r.vec<std::uint64_t>();
   const auto dir_vals = r.vec<std::uint64_t>();
   if (dir_keys.size() != dir_vals.size()) fail("directory corrupt", path);

@@ -19,7 +19,8 @@ void save_blueprint(const std::string& path,
                     const graph::partition_blueprint& bp);
 
 /// Load a blueprint saved by save_blueprint.  Throws on a bad magic,
-/// version mismatch, or truncation.
+/// version mismatch, truncation, or a ghost list holding the invalid
+/// locator, a duplicate, or a vertex mastered on this rank or on no rank.
 graph::partition_blueprint load_blueprint(const std::string& path);
 
 /// Per-rank checkpoint path convention.

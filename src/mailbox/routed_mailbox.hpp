@@ -89,9 +89,10 @@ class routed_mailbox {
 
   /// Queue one record for delivery to `final_dest` (may be this rank).
   /// Buffered until the channel fills or flush()/tick() pushes it out.
-  /// Defined inline below: visitors send fixed-size records, and inlining
-  /// lets the record size constant-fold so the framing memcpys compile to
-  /// straight stores.
+  /// Defined inline below: a record is framed by one resize of its arena
+  /// (which reallocates only when the capacity runs out) and memcpys of
+  /// the header, ctx and payload into the new tail.  Visitors send
+  /// fixed-size records, so inlined, the payload copy has a constant size.
   ///
   /// `ctx` is the optional sampled causal context (trace_context.hpp).  The
   /// common case (ctx == 0) adds nothing to the wire; a sampled record is
@@ -215,6 +216,20 @@ class routed_mailbox {
   static_assert(sizeof(record_header) == 8);
   static constexpr std::uint32_t kCtxFlag = 0x8000'0000u;
   static constexpr std::uint32_t kRecSizeMask = 0x7fff'ffffu;
+
+  /// Write one frame (header, the ctx if sampled, payload) at `out`, the
+  /// tail an arena has just been grown by.
+  static void write_frame(std::byte* out, const record_header& hdr,
+                          obs::trace_ctx ctx,
+                          std::span<const std::byte> record) noexcept {
+    std::memcpy(out, &hdr, sizeof(hdr));
+    out += sizeof(hdr);
+    if (ctx != 0) {
+      std::memcpy(out, &ctx, sizeof(ctx));
+      out += sizeof(ctx);
+    }
+    if (!record.empty()) std::memcpy(out, record.data(), record.size());
+  }
 
   enum class flush_reason { size, age, manual };
 
@@ -345,8 +360,8 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
       static_cast<std::uint32_t>(record.size()) | (ctx != 0 ? kCtxFlag : 0u);
   const record_header hdr{static_cast<std::uint16_t>(final_dest), origin,
                           size_field};
-  const auto* hdr_bytes = reinterpret_cast<const std::byte*>(&hdr);
-  const auto* ctx_bytes = reinterpret_cast<const std::byte*>(&ctx);
+  const std::size_t frame =
+      sizeof(hdr) + (ctx != 0 ? sizeof(ctx) : 0) + record.size();
   if (final_dest == comm_->rank()) {
     // Self-sends go to the flat local arena, framed exactly like a packet
     // record; drain_local hands out span views into it (no per-record
@@ -358,9 +373,9 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
       const std::uint32_t n = obs::comm_lat_sample();
       if (n != 0 && lat_tick_++ % n == 0) local_open_ts_us_ = now_us();
     }
-    arena.insert(arena.end(), hdr_bytes, hdr_bytes + sizeof(hdr));
-    if (ctx != 0) arena.insert(arena.end(), ctx_bytes, ctx_bytes + sizeof(ctx));
-    arena.insert(arena.end(), record.begin(), record.end());
+    const std::size_t at = arena.size();
+    arena.resize(at + frame);
+    write_frame(arena.data() + at, hdr, ctx, record);
     sync_arena_mem();
     return;
   }
@@ -384,9 +399,9 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
     dirty_hops_.push_back(hop);
     ++dirty_count_;
   }
-  ch.buf.insert(ch.buf.end(), hdr_bytes, hdr_bytes + sizeof(hdr));
-  if (ctx != 0) ch.buf.insert(ch.buf.end(), ctx_bytes, ctx_bytes + sizeof(ctx));
-  ch.buf.insert(ch.buf.end(), record.begin(), record.end());
+  const std::size_t at = ch.buf.size();
+  ch.buf.resize(at + frame);
+  write_frame(ch.buf.data() + at, hdr, ctx, record);
   sync_channel_mem(ch);
   if (ch.buf.size() >= ch.watermark) flush_channel(hop, flush_reason::size);
 }

@@ -60,9 +60,12 @@ struct mem_globals {
   std::vector<std::pair<int, std::function<void(mem_pressure_level)>>> cbs;
 };
 
+/// Never destroyed, as the slots' comment promises: trackers owned by
+/// other statics (the flight rings) release their charges during exit,
+/// after a destructor of this object would already have run.
 mem_globals& globals() {
-  static mem_globals g;
-  return g;
+  static auto* const g = new mem_globals;
+  return *g;
 }
 
 /// Ladder thresholds with hysteresis: rise at 3/4 (soft) and 1/1 (hard)

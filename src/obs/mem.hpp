@@ -236,8 +236,8 @@ struct mem_pressure_transitions {
 void mem_unregister_pressure_callback(int id);
 
 /// Dispatch pending pressure transitions to the registered callbacks.
-/// Call from a poll loop with no subsystem locks held.  Disarmed or
-/// nothing pending: two relaxed loads.
+/// Call from a poll loop with no subsystem locks held.  Disarmed: one
+/// relaxed load.  Armed with nothing pending: a call and two more loads.
 inline void mem_pressure_poll() noexcept {
   if (mem_budget() == 0) return;
   detail::mem_pressure_poll_slow();

@@ -26,112 +26,113 @@ report_path_state& report_path() {
 
 namespace detail {
 
-obs_toggles::obs_toggles() {
-  if (const char* env = std::getenv("SFG_METRICS"); env != nullptr && *env != '\0') {
-    metrics.store(true, std::memory_order_relaxed);
-    auto& rp = report_path();
-    const std::scoped_lock lock(rp.mu);
-    rp.path = env;
-  }
-  if (const char* env = std::getenv("SFG_TRACE"); env != nullptr && *env != '\0') {
-    trace.store(true, std::memory_order_relaxed);
-    // One writer for the whole process: whatever was traced by exit time
-    // lands at the SFG_TRACE path, no matter which layer traced it.
-    static std::string trace_path;
-    trace_path = env;
-    std::atexit([] { write_chrome_trace(trace_path); });
-  }
-  if (const char* env = std::getenv("SFG_TRACE_SAMPLE");
-      env != nullptr && *env != '\0') {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) sample.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
-  }
-  // The interval itself (and SFG_TS_DIR) is parsed lazily by the sampler
-  // (timeseries.cpp); only the cheap gate bit lives here with its peers.
-  if (const char* env = std::getenv("SFG_TS_INTERVAL_MS");
-      env != nullptr && *env != '\0') {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) timeseries.store(true, std::memory_order_relaxed);
-  }
-  if (const char* env = std::getenv("SFG_COMM_MATRIX");
-      env != nullptr && *env != '\0' && *env != '0') {
-    comm_matrix.store(true, std::memory_order_relaxed);
-  }
-  if (const char* env = std::getenv("SFG_IO_HIST");
-      env != nullptr && *env != '\0' && *env != '0') {
-    io_hist.store(true, std::memory_order_relaxed);
-  }
-  if (const char* env = std::getenv("SFG_SPANS");
-      env != nullptr && *env != '\0' && *env != '0') {
-    spans.store(true, std::memory_order_relaxed);
-  }
-  if (const char* env = std::getenv("SFG_COMM_LAT_SAMPLE");
-      env != nullptr && *env != '\0') {
-    const long n = std::strtol(env, nullptr, 10);
-    comm_lat_sample.store(n > 0 ? static_cast<std::uint32_t>(n) : 0,
-                          std::memory_order_relaxed);
-  }
-  if (const char* env = std::getenv("SFG_MEM");
-      env != nullptr && *env != '\0' && *env != '0') {
-    mem.store(true, std::memory_order_relaxed);
-  }
-  if (const char* env = std::getenv("SFG_MEM_BUDGET");
-      env != nullptr && *env != '\0') {
-    const unsigned long long n = std::strtoull(env, nullptr, 10);
-    if (n > 0) {
-      mem_budget.store(n, std::memory_order_relaxed);
-      mem.store(true, std::memory_order_relaxed);  // ladder needs accounting
-    }
-  }
-}
-
-obs_toggles& toggles() {
-  static obs_toggles t;
-  return t;
-}
+constinit obs_toggles toggles{};
 
 }  // namespace detail
 
-void set_metrics_enabled(bool on) {
-  detail::toggles().metrics.store(on, std::memory_order_relaxed);
-}
+namespace {
+
+/// Applies the SFG_* environment to detail::toggles, exactly once, from
+/// this file's static initialiser.  Any gate use links this file in, so
+/// the initialiser always runs before main().
+struct apply_env {
+  apply_env() {
+    using namespace detail;
+    if (const char* env = std::getenv("SFG_METRICS"); env != nullptr && *env != '\0') {
+      set_switch(kMetricsBit, true);
+      auto& rp = report_path();
+      const std::scoped_lock lock(rp.mu);
+      rp.path = env;
+    }
+    if (const char* env = std::getenv("SFG_TRACE"); env != nullptr && *env != '\0') {
+      set_switch(kTraceBit, true);
+      // One writer for the whole process: whatever was traced by exit time
+      // lands at the SFG_TRACE path, no matter which layer traced it.  A
+      // process that traced nothing (a validator run under the same
+      // environment) leaves the file alone instead of emptying it.
+      static std::string trace_path;
+      trace_path = env;
+      std::atexit([] {
+        if (trace_event_count() > 0 || trace_dropped_count() > 0) {
+          write_chrome_trace(trace_path);
+        }
+      });
+    }
+    if (const char* env = std::getenv("SFG_TRACE_SAMPLE");
+        env != nullptr && *env != '\0') {
+      const long n = std::strtol(env, nullptr, 10);
+      if (n > 0) {
+        toggles.sample.store(static_cast<std::uint32_t>(n),
+                             std::memory_order_relaxed);
+      }
+    }
+    // The interval itself (and SFG_TS_DIR) is parsed lazily by the sampler
+    // (timeseries.cpp); only the cheap gate bit lives here with its peers.
+    if (const char* env = std::getenv("SFG_TS_INTERVAL_MS");
+        env != nullptr && *env != '\0') {
+      const long n = std::strtol(env, nullptr, 10);
+      if (n > 0) set_switch(kTimeseriesBit, true);
+    }
+    if (const char* env = std::getenv("SFG_COMM_MATRIX");
+        env != nullptr && *env != '\0' && *env != '0') {
+      set_switch(kCommMatrixBit, true);
+    }
+    if (const char* env = std::getenv("SFG_IO_HIST");
+        env != nullptr && *env != '\0' && *env != '0') {
+      set_switch(kIoHistBit, true);
+    }
+    if (const char* env = std::getenv("SFG_SPANS");
+        env != nullptr && *env != '\0' && *env != '0') {
+      set_switch(kSpansBit, true);
+    }
+    if (const char* env = std::getenv("SFG_COMM_LAT_SAMPLE");
+        env != nullptr && *env != '\0') {
+      const long n = std::strtol(env, nullptr, 10);
+      toggles.comm_lat_sample.store(n > 0 ? static_cast<std::uint32_t>(n) : 0,
+                                    std::memory_order_relaxed);
+    }
+    if (const char* env = std::getenv("SFG_MEM");
+        env != nullptr && *env != '\0' && *env != '0') {
+      set_switch(kMemBit, true);
+    }
+    if (const char* env = std::getenv("SFG_MEM_BUDGET");
+        env != nullptr && *env != '\0') {
+      const unsigned long long n = std::strtoull(env, nullptr, 10);
+      if (n > 0) set_mem_budget(n);
+    }
+  }
+} const env_applied;
+
+}  // namespace
+
+void set_metrics_enabled(bool on) { detail::set_switch(detail::kMetricsBit, on); }
 
 void set_comm_matrix_enabled(bool on) {
-  detail::toggles().comm_matrix.store(on, std::memory_order_relaxed);
+  detail::set_switch(detail::kCommMatrixBit, on);
 }
 
-void set_io_hist_enabled(bool on) {
-  detail::toggles().io_hist.store(on, std::memory_order_relaxed);
-}
+void set_io_hist_enabled(bool on) { detail::set_switch(detail::kIoHistBit, on); }
 
 void set_comm_lat_sample(std::uint32_t n) {
-  detail::toggles().comm_lat_sample.store(n, std::memory_order_relaxed);
+  detail::toggles.comm_lat_sample.store(n, std::memory_order_relaxed);
 }
 
-void set_spans_enabled(bool on) {
-  detail::toggles().spans.store(on, std::memory_order_relaxed);
-}
+void set_spans_enabled(bool on) { detail::set_switch(detail::kSpansBit, on); }
 
-void set_mem_enabled(bool on) {
-  detail::toggles().mem.store(on, std::memory_order_relaxed);
-}
+void set_mem_enabled(bool on) { detail::set_switch(detail::kMemBit, on); }
 
 void set_mem_budget(std::uint64_t bytes) {
-  detail::toggles().mem_budget.store(bytes, std::memory_order_relaxed);
-  if (bytes > 0) {
-    detail::toggles().mem.store(true, std::memory_order_relaxed);
-  }
+  detail::toggles.mem_budget.store(bytes, std::memory_order_relaxed);
+  if (bytes > 0) set_mem_enabled(true);  // the ladder needs accounting
 }
 
 std::string metrics_report_path() {
-  detail::toggles();  // ensure env init happened
   auto& rp = report_path();
   const std::scoped_lock lock(rp.mu);
   return rp.path;
 }
 
 void set_metrics_report_path(std::string path) {
-  detail::toggles();
   auto& rp = report_path();
   const std::scoped_lock lock(rp.mu);
   rp.path = std::move(path);
@@ -157,7 +158,6 @@ metrics_registry::impl& metrics_registry::state() const {
 
 metrics_registry& metrics_registry::instance() {
   static metrics_registry r;
-  detail::toggles();  // pull env toggles in before the first handle is used
   return r;
 }
 

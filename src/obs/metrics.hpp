@@ -5,9 +5,11 @@
 /// subsystem stats structs, see stats_fields.hpp).
 ///
 /// Cost model, same pattern as runtime::fault_params: everything is gated
-/// on one cached bool (`metrics_on()`, a relaxed atomic load initialized
-/// once from the environment).  Disabled, an instrumented site is a single
-/// predictable branch — no clock reads, no atomics RMW, no allocation
+/// on one cached bool (`metrics_on()`, an inlined relaxed load of the
+/// constant-initialised `detail::toggles` block, which the environment
+/// sets once at start-up).  Disabled, an instrumented site is one load and
+/// a single predictable branch — no call, no clock reads, no atomics RMW,
+/// no allocation
 /// (tests/obs/metrics_test.cpp verifies the zero-allocation claim with a
 /// counting operator new).  Enabled, a counter bump is one relaxed
 /// fetch_add.
@@ -17,7 +19,8 @@
 ///                           a structured JSON report at <path>
 ///                           (run_report.hpp)
 ///   SFG_TRACE=<path>        enable tracing; a Chrome/Perfetto-loadable trace
-///                           is written to <path> at process exit (trace.hpp)
+///                           is written to <path> at process exit if the
+///                           process recorded any event (trace.hpp)
 ///   SFG_TRACE_SAMPLE=<n>    sample 1-in-n visitor pushes with a causal trace
 ///                           context that follows the visitor across ranks
 ///                           (trace_context.hpp); 0/unset disables sampling
@@ -66,106 +69,121 @@ namespace sfg::obs {
 
 namespace detail {
 
-/// Lazily-initialized process toggles; the constructor (metrics.cpp) reads
-/// SFG_METRICS / SFG_TRACE / SFG_TRACE_SAMPLE once and registers the
-/// exit-time trace writer.
+/// Bits of obs_toggles::on, one per boolean switch.  They share a word so
+/// that a gate implied by several switches (phase_on, comm_matrix_on, ...)
+/// is still one load and one mask test.
+inline constexpr std::uint32_t kMetricsBit = 1u << 0;
+inline constexpr std::uint32_t kTraceBit = 1u << 1;
+/// Live time-series sampling (SFG_TS_INTERVAL_MS > 0, timeseries.hpp).
+inline constexpr std::uint32_t kTimeseriesBit = 1u << 2;
+/// Force the rank x rank traffic matrix on (SFG_COMM_MATRIX); the matrix
+/// also runs whenever metrics or time-series are on (comm_matrix_on()).
+inline constexpr std::uint32_t kCommMatrixBit = 1u << 3;
+/// Force storage I/O latency histograms on (SFG_IO_HIST); also implied
+/// by metrics / time-series (io_hist_on()).
+inline constexpr std::uint32_t kIoHistBit = 1u << 4;
+/// Critical-path span log (SFG_SPANS, span.hpp); unlike the matrix and
+/// the I/O histograms this is opt-in only — never implied by metrics.
+inline constexpr std::uint32_t kSpansBit = 1u << 5;
+/// Force per-subsystem memory attribution on (SFG_MEM, mem.hpp); also
+/// implied by metrics / time-series (mem_on()) and by a non-zero budget.
+inline constexpr std::uint32_t kMemBit = 1u << 6;
+
+/// The process's observability switches.  Compiled-in defaults below; the
+/// SFG_* environment is applied once, by metrics.cpp's static initialiser.
+/// A gate read before that initialiser has run (from another translation
+/// unit's static initialiser) sees these defaults.
 struct obs_toggles {
-  obs_toggles();
-  std::atomic<bool> metrics{false};
-  std::atomic<bool> trace{false};
-  /// Live time-series sampling (SFG_TS_INTERVAL_MS > 0, timeseries.hpp).
-  std::atomic<bool> timeseries{false};
+  std::atomic<std::uint32_t> on{0};
   /// Visitor causal-sampling rate: sample 1-in-`sample` pushes; 0 = off.
   std::atomic<std::uint32_t> sample{0};
-  /// Force the rank x rank traffic matrix on (SFG_COMM_MATRIX); the matrix
-  /// also runs whenever metrics or time-series are on (comm_matrix_on()).
-  std::atomic<bool> comm_matrix{false};
-  /// Force storage I/O latency histograms on (SFG_IO_HIST); also implied
-  /// by metrics / time-series (io_hist_on()).
-  std::atomic<bool> io_hist{false};
   /// Packet latency sampling rate: stamp 1-in-`comm_lat_sample` packets
   /// with an enqueue timestamp; 0 = never (matrix counters still run).
   std::atomic<std::uint32_t> comm_lat_sample{1};
-  /// Critical-path span log (SFG_SPANS, span.hpp); unlike the matrix and
-  /// the I/O histograms this is opt-in only — never implied by metrics.
-  std::atomic<bool> spans{false};
-  /// Force per-subsystem memory attribution on (SFG_MEM, mem.hpp); also
-  /// implied by metrics / time-series (mem_on()) and by a non-zero budget.
-  std::atomic<bool> mem{false};
   /// Soft memory budget in bytes (SFG_MEM_BUDGET, mem.hpp); 0 = disarmed.
   std::atomic<std::uint64_t> mem_budget{0};
 };
 
-obs_toggles& toggles();
+extern constinit obs_toggles toggles;
+
+/// True iff any switch in `mask` is on: one relaxed load, one branch.
+[[nodiscard]] inline bool any_on(std::uint32_t mask) noexcept {
+  return (toggles.on.load(std::memory_order_relaxed) & mask) != 0;
+}
+
+inline void set_switch(std::uint32_t bit, bool on) noexcept {
+  if (on) {
+    toggles.on.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    toggles.on.fetch_and(~bit, std::memory_order_relaxed);
+  }
+}
 
 }  // namespace detail
 
 /// The cached-bool gate: one relaxed load, one predictable branch.
 [[nodiscard]] inline bool metrics_on() noexcept {
-  return detail::toggles().metrics.load(std::memory_order_relaxed);
+  return detail::any_on(detail::kMetricsBit);
 }
 
-/// The time-series sampler's gate (ts_poll in timeseries.hpp): one relaxed
-/// load, one predictable branch while sampling is off.
+/// The time-series sampler's gate (ts_poll in timeseries.hpp).
 [[nodiscard]] inline bool ts_on() noexcept {
-  return detail::toggles().timeseries.load(std::memory_order_relaxed);
+  return detail::any_on(detail::kTimeseriesBit);
 }
 
 /// Critical-path span-log gate (span.hpp): strictly opt-in via SFG_SPANS
 /// (or set_spans_enabled) — span rings cost memory per rank and a ring
 /// write per phase transition, so metrics alone never imply them.
 [[nodiscard]] inline bool spans_on() noexcept {
-  return detail::toggles().spans.load(std::memory_order_relaxed);
+  return detail::any_on(detail::kSpansBit);
 }
 
 /// Phase-attribution gate (phase.hpp): phase timers feed the
 /// end-of-traversal registry fold (metrics), the live sampler
 /// (timeseries) and the span log's self-time segments (critpath), so they
-/// run whenever any consumer is on.  Three relaxed loads, still one
-/// predictable branch in the common all-off case.
+/// run whenever any consumer is on.
 [[nodiscard]] inline bool phase_on() noexcept {
-  return metrics_on() || ts_on() || spans_on();
+  return detail::any_on(detail::kMetricsBit | detail::kTimeseriesBit |
+                        detail::kSpansBit);
 }
 
 /// Traffic-matrix gate (mailbox/routed_mailbox.hpp): the rank x rank
 /// record/byte/flush matrix updates whenever any consumer wants it —
 /// metrics reports, the live sampler, or an explicit SFG_COMM_MATRIX=1.
-/// Disabled, an update site is relaxed loads + one predictable branch; the
-/// matrix rows are preallocated at mailbox construction, so the enabled
-/// path is allocation-free too.
+/// The matrix rows are preallocated at mailbox construction, so the
+/// enabled path is allocation-free too.
 [[nodiscard]] inline bool comm_matrix_on() noexcept {
-  return detail::toggles().comm_matrix.load(std::memory_order_relaxed) ||
-         metrics_on() || ts_on();
+  return detail::any_on(detail::kCommMatrixBit | detail::kMetricsBit |
+                        detail::kTimeseriesBit);
 }
 
 /// Storage I/O attribution gate (page_cache.hpp, block_device.hpp):
 /// latency histograms and the reuse-distance estimator read clocks, so
 /// they only run when a consumer is live (or SFG_IO_HIST=1 forces them).
 [[nodiscard]] inline bool io_hist_on() noexcept {
-  return detail::toggles().io_hist.load(std::memory_order_relaxed) ||
-         metrics_on() || ts_on();
+  return detail::any_on(detail::kIoHistBit | detail::kMetricsBit |
+                        detail::kTimeseriesBit);
 }
 
 /// Packet latency sampling rate (1-in-n packet flushes carry an enqueue
 /// timestamp; 0 disables latency stamping without touching the matrix).
 [[nodiscard]] inline std::uint32_t comm_lat_sample() noexcept {
-  return detail::toggles().comm_lat_sample.load(std::memory_order_relaxed);
+  return detail::toggles.comm_lat_sample.load(std::memory_order_relaxed);
 }
 
 /// Memory-attribution gate (mem.hpp): the per-rank per-subsystem byte
 /// counters update whenever any consumer wants them — metrics reports,
 /// the live sampler, an explicit SFG_MEM=1, or an armed budget (the
 /// pressure ladder cannot fire without the accounting that feeds it).
-/// Disabled, a charge site is relaxed loads + one predictable branch.
 [[nodiscard]] inline bool mem_on() noexcept {
-  return detail::toggles().mem.load(std::memory_order_relaxed) ||
-         metrics_on() || ts_on();
+  return detail::any_on(detail::kMemBit | detail::kMetricsBit |
+                        detail::kTimeseriesBit);
 }
 
 /// Soft memory budget in bytes (SFG_MEM_BUDGET / set_mem_budget);
 /// 0 means the pressure ladder is disarmed.
 [[nodiscard]] inline std::uint64_t mem_budget() noexcept {
-  return detail::toggles().mem_budget.load(std::memory_order_relaxed);
+  return detail::toggles.mem_budget.load(std::memory_order_relaxed);
 }
 
 /// Programmatic override (benches/CLI/tests); the env var is only the

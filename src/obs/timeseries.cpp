@@ -339,7 +339,7 @@ void set_ts_interval_ms(std::uint32_t ms) {
                         std::memory_order_relaxed);
   }
   g.gen.fetch_add(1, std::memory_order_release);
-  detail::toggles().timeseries.store(ms > 0, std::memory_order_relaxed);
+  detail::set_switch(detail::kTimeseriesBit, ms > 0);
 }
 
 std::uint32_t ts_interval_ms() {

@@ -22,9 +22,12 @@ struct trace_buffer {
   std::uint64_t dropped = 0;
 };
 
+/// Never destroyed: the SFG_TRACE writer (metrics.cpp) runs from
+/// std::atexit, and exit destroys a function-local static first used
+/// after that registration before it calls the writer.
 trace_buffer& buffer() {
-  static trace_buffer b;
-  return b;
+  static auto* const b = new trace_buffer;
+  return *b;
 }
 
 std::chrono::steady_clock::time_point trace_epoch() {
@@ -40,9 +43,7 @@ std::uint64_t trace_now_us() noexcept {
       std::chrono::duration_cast<std::chrono::microseconds>(d).count());
 }
 
-void set_trace_enabled(bool on) {
-  detail::toggles().trace.store(on, std::memory_order_relaxed);
-}
+void set_trace_enabled(bool on) { detail::set_switch(detail::kTraceBit, on); }
 
 namespace detail {
 

@@ -13,7 +13,7 @@
 /// no clock read, no allocation.  Enabled, events append to a bounded
 /// in-memory buffer (never any I/O on the hot path); the buffer is
 /// serialized by write_chrome_trace(), automatically at process exit when
-/// SFG_TRACE=<path> is set.
+/// SFG_TRACE=<path> is set and the process recorded any event.
 ///
 /// Event names and categories must be string literals (or otherwise
 /// outlive the process): events store the pointers, not copies.
@@ -29,7 +29,7 @@ namespace sfg::obs {
 
 /// The cached-bool gate for tracing (SFG_TRACE or set_trace_enabled).
 [[nodiscard]] inline bool trace_on() noexcept {
-  return detail::toggles().trace.load(std::memory_order_relaxed);
+  return detail::any_on(detail::kTraceBit);
 }
 
 void set_trace_enabled(bool on);

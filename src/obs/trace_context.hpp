@@ -88,12 +88,12 @@ inline constexpr std::uint64_t kVertexMask = (std::uint64_t{1} << 40) - 1;
 
 /// Current 1-in-N sampling rate; 0 = sampling off.
 [[nodiscard]] inline std::uint32_t trace_sample_rate() noexcept {
-  return detail::toggles().sample.load(std::memory_order_relaxed);
+  return detail::toggles.sample.load(std::memory_order_relaxed);
 }
 
 /// Programmatic override of SFG_TRACE_SAMPLE (0 disables).
 inline void set_trace_sample_rate(std::uint32_t n) noexcept {
-  detail::toggles().sample.store(n, std::memory_order_relaxed);
+  detail::toggles.sample.store(n, std::memory_order_relaxed);
 }
 
 /// Sampling decision at a push site: returns a fresh sampled ctx for

@@ -445,7 +445,7 @@ TEST(Chaos, MemAccountingBalancesUnderFaults) {
   // as peak < the bytes we know were held.  The sweep runs the full
   // 32-seed BFS fault schedule, so mailbox arenas, queue buckets, and
   // frontier words all see adversarial traffic while charging.
-  const bool saved_mem = obs::detail::toggles().mem.load();
+  const bool saved_mem = obs::detail::any_on(obs::detail::kMemBit);
   obs::set_mem_enabled(true);
   obs::mem_clear();
 

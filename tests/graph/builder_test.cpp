@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -247,18 +249,57 @@ TEST_P(BuilderP, GhostsAreRemoteHubs) {
     for (const auto bits : g.blueprint().ghost_locator_bits) {
       const auto loc = vertex_locator::from_bits(bits);
       EXPECT_NE(loc.owner(), c.rank());
-      EXPECT_TRUE(g.has_local_ghost(loc));
+      EXPECT_TRUE(g.ghost_slot_of(loc).has_value());
       weakest_ghost = std::min(weakest_ghost, remote_count.at(bits));
     }
     if (g.num_ghosts() == 8u) {  // k fully used: check top-k property
       for (const auto& [bits, count] : remote_count) {
-        if (!g.has_local_ghost(vertex_locator::from_bits(bits))) {
+        if (!g.ghost_slot_of(vertex_locator::from_bits(bits))) {
           EXPECT_LE(count, weakest_ghost);
         }
       }
     }
   });
 }
+
+/// (num_ghosts, ranks): the flat ghost index must agree with the
+/// blueprint's ghost list exactly — every ghost at its own index, every
+/// other adjacency target (and the index's empty key) absent.
+class GhostIndexP
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, int>> {};
+
+TEST_P(GhostIndexP, SlotOfMatchesBlueprintIndex) {
+  const auto [num_ghosts, p] = GetParam();
+  const gen::rmat_config rc{.scale = 9, .edge_factor = 16, .seed = 19};
+  launch(p, [&](comm& c) {
+    const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
+    graph_build_config cfg;
+    cfg.num_ghosts = num_ghosts;
+    auto g = build_in_memory_graph(
+        c, gen::rmat_slice(rc, range.begin, range.end), cfg);
+    const auto& ghosts = g.blueprint().ghost_locator_bits;
+    ASSERT_EQ(g.num_ghosts(), ghosts.size());
+    EXPECT_LE(ghosts.size(), num_ghosts);
+    for (std::size_t i = 0; i < ghosts.size(); ++i) {
+      EXPECT_EQ(g.ghost_slot_of(vertex_locator::from_bits(ghosts[i])),
+                std::optional<std::size_t>(i));
+    }
+    const std::set<std::uint64_t> ghost_set(ghosts.begin(), ghosts.end());
+    for (std::size_t s = 0; s < g.num_slots(); ++s) {
+      g.for_each_out_edge(s, [&](vertex_locator t) {
+        if (!ghost_set.contains(t.bits())) {
+          EXPECT_EQ(g.ghost_slot_of(t), std::nullopt);
+        }
+      });
+    }
+    EXPECT_EQ(g.ghost_slot_of(vertex_locator::invalid()), std::nullopt);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GhostsByWorldSize, GhostIndexP,
+    ::testing::Combine(::testing::Values(0u, 1u, 8u, 256u),
+                       ::testing::Values(1, 4)));
 
 TEST_P(BuilderP, DirectedGraphSinksGetSlots) {
   const int p = GetParam();

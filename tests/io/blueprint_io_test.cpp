@@ -131,6 +131,63 @@ TEST(BlueprintIo, CorruptFileRejected) {
   std::filesystem::remove(path);
 }
 
+/// Save a minimal blueprint for rank 0 of 2 with the given ghost list,
+/// then load it back.
+graph::partition_blueprint reload_with_ghosts(const std::string& name,
+                                              std::vector<std::uint64_t> ghosts) {
+  graph::partition_blueprint bp;
+  bp.rank = 0;
+  bp.p = 2;
+  bp.ghost_locator_bits = std::move(ghosts);
+  const auto path = tmp_base(name) + ".rank0.sfg";
+  save_blueprint(path, bp);
+  struct remove_on_exit {
+    std::string path;
+    ~remove_on_exit() { std::filesystem::remove(path); }
+  } const cleanup{path};
+  return load_blueprint(path);
+}
+
+/// The load must fail, and for the stated reason.
+void expect_ghosts_rejected(const std::string& name,
+                            std::vector<std::uint64_t> ghosts,
+                            const std::string& reason) {
+  try {
+    (void)reload_with_ghosts(name, std::move(ghosts));
+    ADD_FAILURE() << "ghost list accepted; expected: " << reason;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+  }
+}
+
+constexpr std::uint64_t kRemoteGhost = graph::vertex_locator(1, 7).bits();
+
+TEST(BlueprintIo, InvalidGhostLocatorRejected) {
+  EXPECT_NO_THROW(reload_with_ghosts("sfg_bp_ghost_ok", {kRemoteGhost}));
+  expect_ghosts_rejected(
+      "sfg_bp_ghost_invalid",
+      {kRemoteGhost, graph::vertex_locator::invalid().bits()},
+      "invalid ghost locator");
+}
+
+TEST(BlueprintIo, DuplicateGhostLocatorRejected) {
+  expect_ghosts_rejected(
+      "sfg_bp_ghost_dup",
+      {kRemoteGhost, graph::vertex_locator(1, 3).bits(), kRemoteGhost},
+      "duplicate ghost locator");
+}
+
+TEST(BlueprintIo, GhostOwnerOutOfRangeRejected) {
+  // Owned by the loading rank: a ghost must stand in for a remote vertex.
+  expect_ghosts_rejected("sfg_bp_ghost_own",
+                         {graph::vertex_locator(0, 7).bits()},
+                         "ghost owner is this rank or out of range");
+  // Owner >= p: no rank masters it.
+  expect_ghosts_rejected("sfg_bp_ghost_range",
+                         {graph::vertex_locator(2, 7).bits()},
+                         "ghost owner is this rank or out of range");
+}
+
 TEST(BlueprintIo, MissingFileRejected) {
   EXPECT_THROW(load_blueprint("/nonexistent/bp.rank0.sfg"),
                std::runtime_error);

@@ -48,7 +48,7 @@ std::uint64_t charge_phase_allocations(mem_tracker& t) {
 }
 
 TEST(MemAlloc, DisabledChargePathAllocatesNothing) {
-  const bool saved = detail::toggles().mem.load();
+  const bool saved = detail::any_on(detail::kMemBit);
   set_mem_enabled(false);
   ASSERT_FALSE(mem_on());
   mem_tracker t(mem_subsystem::frontier);
@@ -58,7 +58,7 @@ TEST(MemAlloc, DisabledChargePathAllocatesNothing) {
 }
 
 TEST(MemAlloc, ArmedChargePathAllocatesNothing) {
-  const bool saved = detail::toggles().mem.load();
+  const bool saved = detail::any_on(detail::kMemBit);
   const std::uint64_t saved_budget = mem_budget();
   set_mem_enabled(true);
   // Tight budget so the loop crosses pressure thresholds constantly:

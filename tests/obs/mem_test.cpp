@@ -23,7 +23,7 @@ namespace {
 class MemTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    saved_mem_ = detail::toggles().mem.load();
+    saved_mem_ = detail::any_on(detail::kMemBit);
     saved_budget_ = mem_budget();
     set_mem_enabled(true);
     set_mem_budget(0);
