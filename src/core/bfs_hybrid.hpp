@@ -41,7 +41,6 @@
 #pragma once
 
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -53,16 +52,12 @@
 
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
+#include "core/traversal_observer.hpp"
 #include "core/visitor_queue.hpp"
 #include "graph/partitioner.hpp"
 #include "mailbox/routed_mailbox.hpp"
-#include "obs/critpath.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
 #include "obs/phase.hpp"
-#include "obs/run_report.hpp"
-#include "obs/span.hpp"
-#include "obs/timeseries.hpp"
 #include "runtime/comm.hpp"
 #include "util/rng.hpp"
 
@@ -197,12 +192,7 @@ class level_sync_bfs {
 
   mode_bfs_result<Graph> run(graph::vertex_locator source) {
     runtime::comm& c = graph_->comm();
-    const auto wall_start = std::chrono::steady_clock::now();
-    const obs::phase_stats phase_start = obs::phase_snapshot();
-    obs::flight_record(obs::flight_kind::traversal_begin, 1,
-                       static_cast<std::uint64_t>(c.size()));
-    obs::span_mark(obs::span_kind::trav_begin, 1,
-                   static_cast<std::uint64_t>(c.size()));
+    traversal_observer observer(c, mailbox_, observed_);
 
     // Frontier bit space: one bit per local slot, locator-addressed
     // ((owner, local_id) → word_off_[owner] + local_id/64).  Sizes are
@@ -296,12 +286,8 @@ class level_sync_bfs {
           bottom_up && (!was_bottom_up || level == 0) && switch_level < 0;
       if (switched) switch_level = static_cast<std::int64_t>(level);
       if (cfg_.on_level) cfg_.on_level(level, bottom_up, switched);
-      obs::flight_record(obs::flight_kind::queue_batch, level,
-                         totals.vertices);
-      // Level marker for the critical-path analyzer: stamped after the
-      // level barrier, so its timestamp is this rank's barrier exit.
-      obs::span_mark(obs::span_kind::bfs_level, level,
-                     static_cast<std::uint64_t>(bottom_up));
+      observer.level(level, totals.vertices, bottom_up, next_.count(), waves_,
+                     stats_.visitors_executed);
 
       level_ = level;
       flip(cur_, next_);
@@ -322,32 +308,16 @@ class level_sync_bfs {
       levels.push_back({level, bottom_up, totals.vertices, totals.edges,
                         level_sent - prev_sent});
       prev_sent = level_sent;
-      obs::ts_poll();
+      observer.poll();
     }
 
-    // Fold wall time, phases and mailbox deltas exactly like the visitor
-    // queue, so sfg_top / the metrics registry see one traversal either
-    // way.  (The mailbox is fresh per driver, so its cumulative stats ARE
-    // this traversal's delta.)
-    stats_.termination_waves += waves_;
-    obs::stats_add(stats_.mailbox, mailbox_.stats());
-    obs::stats_add(stats_.phase,
-                   obs::stats_delta(obs::phase_snapshot(), phase_start));
-    mode_bfs_result<Graph> result{std::move(state_), stats_, mailbox_.matrix(),
-                                  std::move(levels), switch_level};
-    last_wall_us_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-    obs::flight_record(obs::flight_kind::traversal_end,
-                       stats_.visitors_executed, last_wall_us_);
-    obs::span_mark(obs::span_kind::trav_end, 1,
-                   static_cast<std::uint64_t>(c.size()));
-    publish_metrics();
-    obs::ts_flush();
-    write_run_report(c, result);
+    // The "bfs" section records the per-level direction trace and the
+    // direction-switch level (what sfg_report_check --bfs-levels gates).
+    observer.end(stats_, waves_, "bfs",
+                 [&] { return bfs_section(levels, switch_level); });
     c.barrier();
-    return result;
+    return {std::move(state_), stats_, mailbox_.matrix(), std::move(levels),
+            switch_level};
   }
 
  private:
@@ -452,72 +422,26 @@ class level_sync_bfs {
     }
   }
 
-  void publish_metrics() {
-    if (!obs::metrics_on() && !obs::ts_on()) return;
-    obs::stats_to_registry("traversal", stats_);
-    obs::metrics_registry::instance()
-        .get_histogram("traversal.rank_time_us")
-        .record_raw(last_wall_us_);
-  }
-
-  /// Mirror of visitor_queue::maybe_write_run_report with one extra
-  /// section: "bfs" records the per-level direction trace and the
-  /// direction-switch level (what sfg_report_check --bfs-levels gates).
-  void write_run_report(runtime::comm& c,
-                        const mode_bfs_result<Graph>& result) {
-    const int want = c.broadcast(
-        static_cast<int>(c.rank() == 0 &&
-                         !obs::metrics_report_path().empty()),
-        0);
-    if (want == 0) return;
-    const std::vector<traversal_stats> all = c.all_gather(stats_);
-    const bool want_matrix = obs::comm_matrix_on();
-    obs::json matrix_rows;
-    if (want_matrix) matrix_rows = obs::gather_json(c, mailbox_.matrix_json());
-    const bool want_critpath = obs::spans_on();
-    obs::json span_fragments;
-    if (want_critpath) span_fragments = obs::gather_json(c, obs::span_rank_json());
-    if (c.rank() != 0) return;
-    obs::json entry = obs::json::object();
-    entry["ranks"] = static_cast<std::uint64_t>(all.size());
-    traversal_stats total{};
-    obs::json per_rank = obs::json::array();
-    for (const auto& s : all) {
-      obs::stats_add(total, s);
-      per_rank.push_back(obs::stats_to_json(s));
-    }
-    entry["total"] = obs::stats_to_json(total);
-    entry["per_rank"] = std::move(per_rank);
+  [[nodiscard]] obs::json bfs_section(
+      const std::vector<bfs_level_stats>& levels,
+      std::int64_t switch_level) const {
     obs::json bfs = obs::json::object();
     bfs["mode"] = std::string(bfs_mode_name(cfg_.mode));
     bfs["alpha"] = alpha_;
     bfs["beta"] = beta_;
-    bfs["direction_switch_level"] =
-        static_cast<std::int64_t>(result.direction_switch_level);
-    obs::json levels = obs::json::array();
-    for (const auto& ls : result.levels) {
+    bfs["direction_switch_level"] = switch_level;
+    obs::json trace = obs::json::array();
+    for (const auto& ls : levels) {
       obs::json l = obs::json::object();
       l["level"] = ls.level;
       l["direction"] = std::string(ls.bottom_up ? "bottomup" : "topdown");
       l["frontier_vertices"] = ls.frontier_vertices;
       l["frontier_edges"] = ls.frontier_edges;
       l["claims_sent"] = ls.claims_sent;
-      levels.push_back(std::move(l));
+      trace.push_back(std::move(l));
     }
-    bfs["levels"] = std::move(levels);
-    entry["bfs"] = std::move(bfs);
-    if (want_matrix) {
-      obs::json cm = obs::json::object();
-      cm["schema"] = "sfg-comm-matrix/1";
-      cm["ranks"] = static_cast<std::uint64_t>(all.size());
-      cm["rows"] = std::move(matrix_rows);
-      entry["comm_matrix"] = std::move(cm);
-    }
-    if (want_critpath) {
-      obs::json cp = obs::critpath_analyze(span_fragments);
-      if (!cp.is_null()) entry["critpath"] = std::move(cp);
-    }
-    obs::append_traversal_report(std::move(entry));
+    bfs["levels"] = std::move(trace);
+    return bfs;
   }
 
   Graph* graph_;
@@ -539,8 +463,8 @@ class level_sync_bfs {
   std::uint64_t next_mass_ = 0;
   std::uint64_t unvisited_mass_ = 0;
   std::uint32_t waves_ = 0;
-  std::uint64_t last_wall_us_ = 0;
   traversal_stats stats_;
+  traversal_observer::history observed_;
 };
 
 }  // namespace detail

@@ -2,16 +2,13 @@
 
 #include <unistd.h>
 
-#include <bit>
+#include <array>
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
-#include <vector>
 
-#include "obs/mem.hpp"
+#include "obs/event_ring.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 
@@ -19,44 +16,20 @@ namespace sfg::obs {
 
 namespace {
 
-/// One recorded event, stored as relaxed atomics so a dump taken while the
-/// owning rank is still writing is a clean (if possibly field-torn) read.
-struct flight_slot {
-  std::atomic<std::uint64_t> ts_us{0};
-  std::atomic<std::uint64_t> kind{0};
-  std::atomic<std::uint64_t> a{0};
-  std::atomic<std::uint64_t> b{0};
-};
+/// Events are {ts_us, kind, a, b}.
+detail::event_log& flight_log() {
+  static detail::event_log l(4, 1024);
+  return l;
+}
 
-/// Single-writer ring: the owning rank appends, anyone may snapshot.
-struct flight_ring {
-  flight_ring(std::size_t cap, int rank_) : slots(cap), mask(cap - 1), rank(rank_) {
-    // Safe under the registry mutex: mem_apply never calls back into the
-    // flight recorder (pressure transitions are queued for the poll).
-    mem.set(cap * sizeof(flight_slot));
-  }
-  std::vector<flight_slot> slots;
-  std::size_t mask;
-  int rank;
-  std::atomic<std::uint64_t> head{0};  ///< total events ever recorded
-  mem_tracker mem{mem_subsystem::obs};
-};
-
-struct flight_globals {
+struct dump_path_state {
   std::mutex mu;
-  /// Indexed by rank + 1 (slot 0 is the non-rank main thread).  Rings are
-  /// reused across launches so repeated traversals don't reallocate.
-  std::vector<std::unique_ptr<flight_ring>> rings;
-  std::size_t capacity = 1024;
-  std::string dump_path;
-  /// Bumped when rings are rebuilt (capacity change); invalidates the
-  /// per-thread cached ring pointers.
-  std::atomic<std::uint64_t> gen{1};
+  std::string path;
 };
 
-flight_globals& globals() {
-  static flight_globals g;
-  return g;
+dump_path_state& dump_path() {
+  static dump_path_state s;
+  return s;
 }
 
 extern "C" void flight_signal_handler(int sig) {
@@ -65,23 +38,6 @@ extern "C" void flight_signal_handler(int sig) {
   flight_dump(sig == SIGTERM ? "sigterm" : "sigabrt");
   std::signal(sig, SIG_DFL);
   std::raise(sig);
-}
-
-void install_signal_dumps() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    std::signal(SIGTERM, &flight_signal_handler);
-    std::signal(SIGABRT, &flight_signal_handler);
-  });
-}
-
-flight_ring* ring_for_rank(int rank) {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  const auto idx = static_cast<std::size_t>(rank + 1);
-  if (g.rings.size() <= idx) g.rings.resize(idx + 1);
-  if (!g.rings[idx]) g.rings[idx] = std::make_unique<flight_ring>(g.capacity, rank);
-  return g.rings[idx].get();
 }
 
 }  // namespace
@@ -109,131 +65,49 @@ const char* flight_kind_name(flight_kind k) noexcept {
 
 namespace detail {
 
-flight_toggles::flight_toggles() {
-  auto& g = globals();
-  if (const char* env = std::getenv("SFG_FLIGHT_EVENTS");
-      env != nullptr && *env != '\0') {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n <= 0) {
-      enabled.store(false, std::memory_order_relaxed);
-    } else {
-      const std::scoped_lock lock(g.mu);
-      g.capacity = std::bit_ceil(static_cast<std::size_t>(n));
-    }
-  }
-  if (const char* env = std::getenv("SFG_FLIGHT_DUMP");
-      env != nullptr && *env != '\0') {
-    {
-      const std::scoped_lock lock(g.mu);
-      g.dump_path = env;
-    }
-    install_signal_dumps();
-  }
-}
-
-flight_toggles& flight_state() {
-  static flight_toggles t;
-  return t;
-}
-
 void flight_append(flight_kind k, std::uint64_t a, std::uint64_t b) noexcept {
-  // Per-thread ring cache: resolving the ring takes the registry mutex, so
-  // it happens once per thread per generation, never on the steady path.
-  struct cache_t {
-    std::uint64_t gen = 0;
-    flight_ring* ring = nullptr;
-  };
-  thread_local cache_t cache;
-  auto& g = globals();
-  const std::uint64_t gen = g.gen.load(std::memory_order_acquire);
-  if (cache.gen != gen || cache.ring == nullptr) {
-    cache.ring = ring_for_rank(util::thread_rank());
-    cache.gen = gen;
-  }
-  flight_ring& r = *cache.ring;
-  const std::uint64_t i = r.head.fetch_add(1, std::memory_order_relaxed);
-  flight_slot& s = r.slots[i & r.mask];
-  s.ts_us.store(trace_now_us(), std::memory_order_relaxed);
-  s.kind.store(static_cast<std::uint64_t>(k), std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
+  flight_log().append(std::array<std::uint64_t, 4>{
+      trace_now_us(), static_cast<std::uint64_t>(k), a, b});
+}
+
+void install_flight_signal_dumps() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    std::signal(SIGTERM, &flight_signal_handler);
+    std::signal(SIGABRT, &flight_signal_handler);
+  });
 }
 
 }  // namespace detail
 
-void set_flight_enabled(bool on) {
-  detail::flight_state().enabled.store(on, std::memory_order_relaxed);
-}
+void set_flight_enabled(bool on) { detail::set_switch(detail::kFlightBit, on); }
 
-std::size_t flight_capacity() {
-  detail::flight_state();
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  return g.capacity;
-}
+std::size_t flight_capacity() { return flight_log().capacity(); }
 
-void set_flight_capacity(std::size_t cap) {
-  // Test/setup-time only: rebuilding the rings must not race live writers.
-  detail::flight_state();
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  g.capacity = std::bit_ceil(cap == 0 ? std::size_t{1} : cap);
-  g.rings.clear();
-  g.gen.fetch_add(1, std::memory_order_release);
-}
+void set_flight_capacity(std::size_t cap) { flight_log().set_capacity(cap); }
 
-void flight_clear() {
-  // In-place reset (rings and cached pointers stay valid): safe to call
-  // between launches without tearing down live writers' rings.
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  for (auto& r : g.rings) {
-    if (!r) continue;
-    r->head.store(0, std::memory_order_relaxed);
-    for (auto& s : r->slots) {
-      s.ts_us.store(0, std::memory_order_relaxed);
-      s.kind.store(0, std::memory_order_relaxed);
-      s.a.store(0, std::memory_order_relaxed);
-      s.b.store(0, std::memory_order_relaxed);
-    }
-  }
-}
+void flight_clear() { flight_log().clear(); }
 
-std::uint64_t flight_recorded_here() noexcept {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  const auto idx = static_cast<std::size_t>(util::thread_rank() + 1);
-  if (idx >= g.rings.size() || !g.rings[idx]) return 0;
-  return g.rings[idx]->head.load(std::memory_order_relaxed);
-}
+std::uint64_t flight_recorded_here() noexcept { return flight_log().recorded_here(); }
 
 json flight_to_json(const std::string& why) {
-  detail::flight_state();
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
   json doc = json::object();
   doc["schema"] = "sfg-flight/1";
   doc["why"] = why;
-  doc["capacity"] = static_cast<std::uint64_t>(g.capacity);
+  doc["capacity"] = static_cast<std::uint64_t>(flight_log().capacity());
   json ranks = json::array();
-  for (const auto& r : g.rings) {
-    if (!r) continue;
-    const std::uint64_t recorded = r->head.load(std::memory_order_relaxed);
-    const std::uint64_t cap = r->slots.size();
-    const std::uint64_t dropped = recorded > cap ? recorded - cap : 0;
+  for (const auto& r : flight_log().snapshot()) {
     json entry = json::object();
-    entry["rank"] = static_cast<std::int64_t>(r->rank);
-    entry["recorded"] = recorded;
-    entry["dropped"] = dropped;
+    entry["rank"] = static_cast<std::int64_t>(r.rank);
+    entry["recorded"] = r.recorded;
+    entry["dropped"] = r.dropped;
     json events = json::array();
-    for (std::uint64_t i = dropped; i < recorded; ++i) {
-      const flight_slot& s = r->slots[i & r->mask];
+    for (std::size_t i = 0; i < r.words.size(); i += 4) {
       json ev = json::object();
-      ev["ts_us"] = s.ts_us.load(std::memory_order_relaxed);
-      ev["kind"] = flight_kind_name(
-          static_cast<flight_kind>(s.kind.load(std::memory_order_relaxed)));
-      ev["a"] = s.a.load(std::memory_order_relaxed);
-      ev["b"] = s.b.load(std::memory_order_relaxed);
+      ev["ts_us"] = r.words[i];
+      ev["kind"] = flight_kind_name(static_cast<flight_kind>(r.words[i + 1]));
+      ev["a"] = r.words[i + 2];
+      ev["b"] = r.words[i + 3];
       events.push_back(std::move(ev));
     }
     entry["events"] = std::move(events);
@@ -265,17 +139,15 @@ void flight_dump(const std::string& why) {
 }
 
 std::string flight_dump_path() {
-  detail::flight_state();
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  return g.dump_path;
+  auto& d = dump_path();
+  const std::scoped_lock lock(d.mu);
+  return d.path;
 }
 
 void set_flight_dump_path(std::string path) {
-  detail::flight_state();
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  g.dump_path = std::move(path);
+  auto& d = dump_path();
+  const std::scoped_lock lock(d.mu);
+  d.path = std::move(path);
 }
 
 }  // namespace sfg::obs

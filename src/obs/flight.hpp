@@ -9,14 +9,13 @@
 /// SIGABRT/SIGTERM (when SFG_FLIGHT_DUMP is set), or an explicit
 /// flight_dump() call.
 ///
-/// Concurrency model: each in-process rank is one thread, so every ring
-/// has a single writer; slots are stored as relaxed atomics so a dump
-/// taken from another thread (or a signal handler) while writers are live
-/// reads cleanly — at worst an in-flight event is field-torn, which is the
-/// accepted black-box tradeoff (the dump is for post-mortems, not
+/// The rings are one log of the shared per-rank event ring
+/// (event_ring.hpp); the span log (span.hpp) is the other.  A dump racing
+/// live writers reads cleanly but may tear the one in-flight event per
+/// rank, the accepted black-box tradeoff (dumps are for post-mortems, not
 /// accounting).
 ///
-/// Environment switches:
+/// Environment switches (applied at start-up by metrics.cpp):
 ///   SFG_FLIGHT_EVENTS=<n>  ring capacity per rank, rounded up to a power
 ///                          of two (default 1024); 0 disables recording
 ///   SFG_FLIGHT_DUMP=<path> where dumps land: a .json file path, or a
@@ -25,11 +24,11 @@
 ///                          SIGTERM dump handlers.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace sfg::obs {
 
@@ -56,25 +55,21 @@ enum class flight_kind : std::uint32_t {
 
 namespace detail {
 
-struct flight_toggles {
-  flight_toggles();
-  std::atomic<bool> enabled{true};
-};
-flight_toggles& flight_state();
-
-/// Out-of-line slow half of flight_record: resolves this thread's ring
-/// (thread-local cache, invalidated by a generation counter so
-/// flight_clear / capacity changes never leave dangling pointers) and
-/// appends.  Never allocates after the ring exists; the first event from a
-/// rank allocates its ring once.
+/// Out-of-line half of flight_record: appends to the calling rank's ring.
+/// Never allocates after the ring exists; the first event from a rank
+/// allocates its ring once.
 void flight_append(flight_kind k, std::uint64_t a, std::uint64_t b) noexcept;
+
+/// Install the SIGTERM / SIGABRT dump handlers (once per process).
+void install_flight_signal_dumps();
 
 }  // namespace detail
 
-/// The cached-bool gate.  Defaults to ON (the recorder is the black box —
-/// it must already be running when the fault happens).
+/// The gate: a bit of the shared toggle word that defaults to ON (the
+/// recorder is the black box — it must already be running when the fault
+/// happens).
 [[nodiscard]] inline bool flight_on() noexcept {
-  return detail::flight_state().enabled.load(std::memory_order_relaxed);
+  return detail::any_on(detail::kFlightBit);
 }
 
 void set_flight_enabled(bool on);

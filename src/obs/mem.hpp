@@ -287,7 +287,7 @@ struct stats_traits<mem_stats> {
 void mem_publish_registry();
 
 /// The calling rank's ledger as one JSON fragment for the collective
-/// gather (visitor_queue):
+/// gather (core/traversal_observer.hpp):
 ///   {"rank": r, "accounted_current": c, "accounted_peak": p,
 ///    "subsystems": {"mailbox_arena": {"current": c, "peak": p}, ...}}
 [[nodiscard]] json mem_rank_json(int rank);

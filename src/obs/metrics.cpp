@@ -5,6 +5,8 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/flight.hpp"
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace sfg::obs {
@@ -84,6 +86,26 @@ struct apply_env {
     if (const char* env = std::getenv("SFG_SPANS");
         env != nullptr && *env != '\0' && *env != '0') {
       set_switch(kSpansBit, true);
+    }
+    // Ring capacities (event_ring.hpp): a non-positive count turns the
+    // log's gate off instead.
+    const auto ring_env = [](const char* name, std::uint32_t bit,
+                             void (*set_capacity)(std::size_t)) {
+      const char* env = std::getenv(name);
+      if (env == nullptr || *env == '\0') return;
+      const long n = std::strtol(env, nullptr, 10);
+      if (n <= 0) {
+        set_switch(bit, false);
+      } else {
+        set_capacity(static_cast<std::size_t>(n));
+      }
+    };
+    ring_env("SFG_SPAN_EVENTS", kSpansBit, &set_span_capacity);
+    ring_env("SFG_FLIGHT_EVENTS", kFlightBit, &set_flight_capacity);
+    if (const char* env = std::getenv("SFG_FLIGHT_DUMP");
+        env != nullptr && *env != '\0') {
+      set_flight_dump_path(env);
+      install_flight_signal_dumps();
     }
     if (const char* env = std::getenv("SFG_COMM_LAT_SAMPLE");
         env != nullptr && *env != '\0') {

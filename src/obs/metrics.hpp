@@ -46,6 +46,9 @@
 ///                           section (critpath.hpp) consumed by sfg_why
 ///   SFG_SPAN_EVENTS=<n>     span-ring capacity per rank, rounded up to a
 ///                           power of two (default 16384); 0 disables
+///   SFG_FLIGHT_EVENTS=<n>   flight-ring capacity per rank, rounded up to a
+///                           power of two (default 1024); 0 disables
+///   SFG_FLIGHT_DUMP=<path>  where flight dumps land (flight.hpp)
 ///   SFG_MEM=1               force per-subsystem memory attribution on
 ///                           (mem.hpp) even when metrics/time-series are
 ///                           off; it is implied by SFG_METRICS and
@@ -88,13 +91,16 @@ inline constexpr std::uint32_t kSpansBit = 1u << 5;
 /// Force per-subsystem memory attribution on (SFG_MEM, mem.hpp); also
 /// implied by metrics / time-series (mem_on()) and by a non-zero budget.
 inline constexpr std::uint32_t kMemBit = 1u << 6;
+/// Flight recorder (flight.hpp): the one switch that defaults to ON;
+/// SFG_FLIGHT_EVENTS=0 clears it.
+inline constexpr std::uint32_t kFlightBit = 1u << 7;
 
 /// The process's observability switches.  Compiled-in defaults below; the
 /// SFG_* environment is applied once, by metrics.cpp's static initialiser.
 /// A gate read before that initialiser has run (from another translation
 /// unit's static initialiser) sees these defaults.
 struct obs_toggles {
-  std::atomic<std::uint32_t> on{0};
+  std::atomic<std::uint32_t> on{kFlightBit};
   /// Visitor causal-sampling rate: sample 1-in-`sample` pushes; 0 = off.
   std::atomic<std::uint32_t> sample{0};
   /// Packet latency sampling rate: stamp 1-in-`comm_lat_sample` packets

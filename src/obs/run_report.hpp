@@ -7,8 +7,9 @@
 ///       {"schema": "sfg-run-report/1", "name": ..., "params": {...},
 ///        <sections...>, "metrics": <registry snapshot>}
 ///   - the traversal collector: when SFG_METRICS=<path> is set (or
-///     set_metrics_report_path), every visitor_queue::do_traversal appends
-///     one entry and rewrites <path> as
+///     set_metrics_report_path), every traversal of either driver
+///     (core/traversal_observer.hpp) appends one entry and rewrites
+///     <path> as
 ///       {"schema": "sfg-metrics/1", "traversals": [...],
 ///        "metrics": <registry snapshot>}
 ///     Rewriting whole-file per traversal keeps the report valid JSON at

@@ -1,12 +1,8 @@
 #include "obs/span.hpp"
 
-#include <bit>
-#include <cstdlib>
-#include <memory>
-#include <mutex>
-#include <vector>
+#include <array>
 
-#include "obs/mem.hpp"
+#include "obs/event_ring.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 
@@ -14,70 +10,10 @@ namespace sfg::obs {
 
 namespace {
 
-/// One recorded span, stored as relaxed atomics so a snapshot taken while
-/// the owning rank is still writing reads cleanly (at worst an in-flight
-/// span is field-torn; the analyzer snapshots after a barrier, so live
-/// tears never reach a report).
-struct span_slot {
-  std::atomic<std::uint64_t> t0_us{0};
-  std::atomic<std::uint64_t> t1_us{0};
-  std::atomic<std::uint64_t> kind{0};
-  std::atomic<std::uint64_t> a{0};
-  std::atomic<std::uint64_t> b{0};
-};
-
-/// Single-writer ring: the owning rank appends, anyone may snapshot.
-struct span_ring {
-  span_ring(std::size_t cap, int rank_) : slots(cap), mask(cap - 1), rank(rank_) {
-    mem.set(cap * sizeof(span_slot));
-  }
-  std::vector<span_slot> slots;
-  std::size_t mask;
-  int rank;
-  std::atomic<std::uint64_t> head{0};  ///< total spans ever recorded
-  mem_tracker mem{mem_subsystem::obs};
-};
-
-struct span_globals {
-  std::mutex mu;
-  /// Indexed by rank + 1 (slot 0 is the non-rank main thread), like the
-  /// flight recorder's registry.
-  std::vector<std::unique_ptr<span_ring>> rings;
-  std::size_t capacity = 16384;
-  bool env_read = false;
-  /// Bumped when rings are rebuilt; invalidates per-thread cached pointers.
-  std::atomic<std::uint64_t> gen{1};
-};
-
-span_globals& globals() {
-  static span_globals g;
-  return g;
-}
-
-/// SFG_SPAN_EVENTS is read once, lazily, under the registry mutex (the
-/// enabled/disabled bit itself lives in obs_toggles with its peers).
-void read_env_locked(span_globals& g) {
-  if (g.env_read) return;
-  g.env_read = true;
-  if (const char* env = std::getenv("SFG_SPAN_EVENTS");
-      env != nullptr && *env != '\0') {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n <= 0) {
-      set_spans_enabled(false);
-    } else {
-      g.capacity = std::bit_ceil(static_cast<std::size_t>(n));
-    }
-  }
-}
-
-span_ring* ring_for_rank(int rank) {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  read_env_locked(g);
-  const auto idx = static_cast<std::size_t>(rank + 1);
-  if (g.rings.size() <= idx) g.rings.resize(idx + 1);
-  if (!g.rings[idx]) g.rings[idx] = std::make_unique<span_ring>(g.capacity, rank);
-  return g.rings[idx].get();
+/// Events are {t0_us, t1_us, kind, a, b}.
+detail::event_log& span_log() {
+  static detail::event_log l(5, 16384);
+  return l;
 }
 
 }  // namespace
@@ -98,27 +34,8 @@ namespace detail {
 
 void span_append(span_kind k, std::uint64_t t0_us, std::uint64_t t1_us,
                  std::uint64_t a, std::uint64_t b) noexcept {
-  // Per-thread ring cache: resolving the ring takes the registry mutex, so
-  // it happens once per thread per generation, never on the steady path.
-  struct cache_t {
-    std::uint64_t gen = 0;
-    span_ring* ring = nullptr;
-  };
-  thread_local cache_t cache;
-  auto& g = globals();
-  const std::uint64_t gen = g.gen.load(std::memory_order_acquire);
-  if (cache.gen != gen || cache.ring == nullptr) {
-    cache.ring = ring_for_rank(util::thread_rank());
-    cache.gen = gen;
-  }
-  span_ring& r = *cache.ring;
-  const std::uint64_t i = r.head.fetch_add(1, std::memory_order_relaxed);
-  span_slot& s = r.slots[i & r.mask];
-  s.t0_us.store(t0_us, std::memory_order_relaxed);
-  s.t1_us.store(t1_us, std::memory_order_relaxed);
-  s.kind.store(static_cast<std::uint64_t>(k), std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
+  span_log().append(std::array<std::uint64_t, 5>{
+      t0_us, t1_us, static_cast<std::uint64_t>(k), a, b});
 }
 
 }  // namespace detail
@@ -129,74 +46,31 @@ void span_mark(span_kind k, std::uint64_t a, std::uint64_t b) noexcept {
   detail::span_append(k, now, now, a, b);
 }
 
-std::size_t span_capacity() {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  read_env_locked(g);
-  return g.capacity;
-}
+std::size_t span_capacity() { return span_log().capacity(); }
 
-void set_span_capacity(std::size_t cap) {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  read_env_locked(g);
-  g.capacity = std::bit_ceil(cap == 0 ? std::size_t{1} : cap);
-  g.rings.clear();
-  g.gen.fetch_add(1, std::memory_order_release);
-}
+void set_span_capacity(std::size_t cap) { span_log().set_capacity(cap); }
 
-void span_clear() {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  for (auto& r : g.rings) {
-    if (!r) continue;
-    r->head.store(0, std::memory_order_relaxed);
-    for (auto& s : r->slots) {
-      s.t0_us.store(0, std::memory_order_relaxed);
-      s.t1_us.store(0, std::memory_order_relaxed);
-      s.kind.store(0, std::memory_order_relaxed);
-      s.a.store(0, std::memory_order_relaxed);
-      s.b.store(0, std::memory_order_relaxed);
-    }
-  }
-}
+void span_clear() { span_log().clear(); }
 
-std::uint64_t span_recorded_here() noexcept {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  const auto idx = static_cast<std::size_t>(util::thread_rank() + 1);
-  if (idx >= g.rings.size() || !g.rings[idx]) return 0;
-  return g.rings[idx]->head.load(std::memory_order_relaxed);
-}
+std::uint64_t span_recorded_here() noexcept { return span_log().recorded_here(); }
 
 json span_rank_json() {
-  auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  const auto idx = static_cast<std::size_t>(util::thread_rank() + 1);
+  const int rank = util::thread_rank();
+  auto rings = span_log().snapshot(rank);
+  const auto r = rings.empty() ? detail::event_log::ring_snapshot{}
+                               : std::move(rings.front());
   json entry = json::object();
-  entry["rank"] = static_cast<std::int64_t>(util::thread_rank());
-  if (idx >= g.rings.size() || !g.rings[idx]) {
-    entry["recorded"] = 0;
-    entry["dropped"] = 0;
-    entry["spans"] = json::array();
-    return entry;
-  }
-  const span_ring& r = *g.rings[idx];
-  const std::uint64_t recorded = r.head.load(std::memory_order_relaxed);
-  const std::uint64_t cap = r.slots.size();
-  const std::uint64_t dropped = recorded > cap ? recorded - cap : 0;
-  entry["recorded"] = recorded;
-  entry["dropped"] = dropped;
+  entry["rank"] = static_cast<std::int64_t>(rank);
+  entry["recorded"] = r.recorded;
+  entry["dropped"] = r.dropped;
   json spans = json::array();
-  for (std::uint64_t i = dropped; i < recorded; ++i) {
-    const span_slot& s = r.slots[i & r.mask];
+  for (std::size_t i = 0; i < r.words.size(); i += 5) {
     json sp = json::object();
-    sp["k"] = span_kind_name(
-        static_cast<span_kind>(s.kind.load(std::memory_order_relaxed)));
-    sp["t0"] = s.t0_us.load(std::memory_order_relaxed);
-    sp["t1"] = s.t1_us.load(std::memory_order_relaxed);
-    sp["a"] = s.a.load(std::memory_order_relaxed);
-    sp["b"] = s.b.load(std::memory_order_relaxed);
+    sp["k"] = span_kind_name(static_cast<span_kind>(r.words[i + 2]));
+    sp["t0"] = r.words[i];
+    sp["t1"] = r.words[i + 1];
+    sp["a"] = r.words[i + 3];
+    sp["b"] = r.words[i + 4];
     spans.push_back(std::move(sp));
   }
   entry["spans"] = std::move(spans);

@@ -15,21 +15,20 @@
 ///   * traversal structure — begin/end markers bounding the analysis
 ///     window, plus BFS level markers from the hybrid driver.
 ///
-/// Cost model mirrors flight.hpp: gated on the `spans_on()` cached bool
-/// (SFG_SPANS, metrics.hpp), single-writer rings of relaxed atomics, a
-/// generation-invalidated thread-local ring cache, and no allocation after
-/// a rank's first record (tests/obs/metrics_test.cpp gates both the
+/// The rings are the second log of the shared per-rank event ring
+/// (event_ring.hpp), beside the flight recorder's: gated on the
+/// `spans_on()` bit (SFG_SPANS, metrics.hpp), and no allocation after a
+/// rank's first record (tests/obs/metrics_test.cpp gates both the
 /// disabled and the enabled steady state with a counting operator new).
 /// All timestamps come from trace_now_us() (trace.hpp) — one process-wide
 /// steady epoch, so cross-rank comparisons need no clock alignment.
 ///
-/// Environment switches:
+/// Environment switches (applied at start-up by metrics.cpp):
 ///   SFG_SPANS=1            enable span recording (see metrics.hpp)
 ///   SFG_SPAN_EVENTS=<n>    ring capacity per rank, rounded up to a power
 ///                          of two (default 16384); 0 disables recording
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "obs/json.hpp"
@@ -52,8 +51,7 @@ enum class span_kind : std::uint32_t {
 
 namespace detail {
 
-/// Out-of-line slow half of span_record: resolves this thread's ring
-/// (thread-local cache, invalidated by a generation counter) and appends.
+/// Out-of-line half of span_record: appends to the calling rank's ring.
 /// Never allocates after the ring exists.
 void span_append(span_kind k, std::uint64_t t0_us, std::uint64_t t1_us,
                  std::uint64_t a, std::uint64_t b) noexcept;

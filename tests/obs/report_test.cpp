@@ -1,8 +1,8 @@
 /// Run-report and stats-reflection tests, ending with the observability
-/// acceptance test: a chaos-seeded distributed BFS with metrics + tracing
-/// live must produce a per-rank trace containing the traversal, mailbox
-/// and termination spans, a registry whose "traversal.*" counters agree
-/// with the queue's own stats, and a valid sfg-metrics/1 report.
+/// acceptance test: a chaos-seeded distributed BFS, async and hybrid, with
+/// metrics + tracing live must produce a per-rank trace containing the
+/// traversal and mailbox spans, a registry whose "traversal.*" counters
+/// agree with the driver's own stats, and a valid sfg-metrics/1 report.
 #include "obs/run_report.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,9 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "core/bfs.hpp"
+#include "core/bfs_hybrid.hpp"
 #include "gen/generators.hpp"
 #include "graph/distributed_graph.hpp"
 #include "obs/metrics.hpp"
@@ -190,10 +191,16 @@ TEST(RunReport, TraversalReportAppendsValidJsonEveryTime) {
   std::remove(path.c_str());
 }
 
-/// Acceptance: chaos-seeded BFS with full observability on.
-TEST(Observability, ChaosBfsProducesTraceReportAndMetrics) {
+/// Acceptance: chaos-seeded BFS with full observability on, through both
+/// traversal drivers — they share one instrumentation path
+/// (core/traversal_observer.hpp), so every section must be there in both.
+class Observability : public ::testing::TestWithParam<core::bfs_mode> {};
+
+TEST_P(Observability, ChaosBfsProducesTraceReportAndMetrics) {
+  const core::bfs_mode mode = GetParam();
   obs_guard guard;
-  const std::string path = ::testing::TempDir() + "obs_acceptance_report.json";
+  const std::string path = ::testing::TempDir() + "obs_acceptance_report_" +
+                           core::bfs_mode_name(mode) + ".json";
   set_metrics_enabled(true);
   set_trace_enabled(true);
   set_metrics_report_path(path);
@@ -215,7 +222,9 @@ TEST(Observability, ChaosBfsProducesTraceReportAndMetrics) {
             edges.begin() + static_cast<std::ptrdiff_t>(range.begin),
             edges.begin() + static_cast<std::ptrdiff_t>(range.end));
         auto g = graph::build_in_memory_graph(c, mine, {});
-        auto result = core::run_bfs(g, g.locate(edges.front().src), {});
+        core::hybrid_bfs_config cfg;
+        cfg.mode = mode;
+        auto result = core::run_bfs_mode(g, g.locate(edges.front().src), cfg);
         const auto executed = c.all_reduce(
             result.stats.visitors_executed, std::plus<>());
         if (c.rank() == 0) executed_total = executed;
@@ -224,7 +233,9 @@ TEST(Observability, ChaosBfsProducesTraceReportAndMetrics) {
 
   ASSERT_GT(executed_total, 0u);
 
-  // 1. Trace: the async machinery's spans exist, attributed across ranks.
+  // 1. Trace: the traversal and mailbox spans exist, attributed across
+  //    ranks.  Only the async driver quiesces through termination waves;
+  //    the level-synchronous one uses all_reduce.
   const json doc = trace_to_json();
   const json& events = *doc.find("traceEvents");
   std::set<std::string> names;
@@ -237,9 +248,10 @@ TEST(Observability, ChaosBfsProducesTraceReportAndMetrics) {
       traversal_pids.insert(ev.find("pid")->as_i64());
     }
   }
-  for (const char* expected : {"traversal", "mailbox.flush", "term.wave"}) {
-    EXPECT_TRUE(names.contains(expected))
-        << "missing trace span: " << expected;
+  std::vector<std::string> expected = {"traversal", "mailbox.flush"};
+  if (mode == core::bfs_mode::async) expected.emplace_back("term.wave");
+  for (const std::string& name : expected) {
+    EXPECT_TRUE(names.contains(name)) << "missing trace span: " << name;
   }
   EXPECT_EQ(traversal_pids.size(), static_cast<std::size_t>(kRanks))
       << "each rank must own its traversal span (pid = rank)";
@@ -254,12 +266,19 @@ TEST(Observability, ChaosBfsProducesTraceReportAndMetrics) {
   ASSERT_NE(sent, nullptr);
   EXPECT_GT(sent->as_u64(), 0u);
 
-  // 3. Report: one sfg-metrics/1 entry, per-rank stats summing to total.
+  // 3. Report: one sfg-metrics/1 entry with every shared section, and
+  //    per-rank stats summing to the total.
   const auto report = parse_file(path);
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->find("schema")->as_string(), "sfg-metrics/1");
   ASSERT_EQ(report->find("traversals")->size(), 1u);
   const json& entry = report->find("traversals")->at(0);
+  std::vector<std::string> sections = {"ranks", "total", "per_rank",
+                                       "straggler"};
+  if (mode == core::bfs_mode::hybrid) sections.emplace_back("bfs");
+  for (const std::string& key : sections) {
+    EXPECT_NE(entry.find(key), nullptr) << "missing report section: " << key;
+  }
   EXPECT_EQ(entry.find("ranks")->as_u64(), static_cast<std::uint64_t>(kRanks));
   ASSERT_EQ(entry.find("per_rank")->size(), static_cast<std::size_t>(kRanks));
   EXPECT_EQ(entry.find("total")->find("visitors_executed")->as_u64(),
@@ -275,6 +294,13 @@ TEST(Observability, ChaosBfsProducesTraceReportAndMetrics) {
 
   std::remove(path.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, Observability,
+                         ::testing::Values(core::bfs_mode::async,
+                                           core::bfs_mode::hybrid),
+                         [](const auto& info) {
+                           return std::string(core::bfs_mode_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace sfg::obs

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "runtime/runtime.hpp"
+#include "term_detectors.hpp"
 
 namespace sfg::runtime {
 namespace {

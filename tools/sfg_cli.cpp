@@ -27,6 +27,7 @@
 ///
 /// FILEs ending in .txt are treated as text edge lists, anything else as
 /// the packed binary format (io/edge_list_io.hpp).
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -340,6 +341,7 @@ int with_graph(const args_map& a, const char* command, std::uint32_t ghosts,
     sfg::graph::graph_build_config gcfg{.num_ghosts = ghosts};
     gcfg.partitioner.kind = *kind;
     gcfg.partitioner.hdrf_lambda = a.opt_f64("hdrf-lambda", 1.0);
+    int mine = 0;
     if (em) {
       // Per-rank device + page cache, like the paper's node-local NVRAM;
       // a deliberately small frame budget keeps the miss path exercised.
@@ -348,7 +350,7 @@ int with_graph(const args_map& a, const char* command, std::uint32_t ghosts,
       auto g =
           sfg::graph::build_external_graph(c, std::move(edges), gcfg, dev,
                                            cache);
-      rc = fn(c, g);
+      mine = fn(c, g);
       if (c.rank() == 0) {
         // Rank 0's frame heat stands in for all ranks (symmetric caches);
         // lands in both report flavors so sfg_heat can render it.
@@ -357,8 +359,12 @@ int with_graph(const args_map& a, const char* command, std::uint32_t ghosts,
       }
     } else {
       auto g = sfg::graph::build_in_memory_graph(c, std::move(edges), gcfg);
-      rc = fn(c, g);
+      mine = fn(c, g);
     }
+    // Ranks are threads: reduce to the worst exit code and store it once.
+    const int worst =
+        c.all_reduce(mine, [](int x, int y) { return std::max(x, y); });
+    if (c.rank() == 0) rc = worst;
   });
   if (!obs.finish(command, a, em ? &cache_heat : nullptr) && rc == 0) rc = 1;
   return rc;
