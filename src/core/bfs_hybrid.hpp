@@ -312,7 +312,7 @@ class level_sync_bfs {
     }
 
     // The "bfs" section records the per-level direction trace and the
-    // direction-switch level (what sfg_report_check --bfs-levels gates).
+    // direction-switch level (what `sfg_obs check --bfs-levels` gates).
     observer.end(stats_, waves_, "bfs",
                  [&] { return bfs_section(levels, switch_level); });
     c.barrier();

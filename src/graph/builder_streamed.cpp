@@ -55,7 +55,7 @@ partition_blueprint build_partition_streamed(runtime::comm& c,
   edges.shrink_to_fit();
   // The replicated stream is this path's O(|E|)-per-rank cost (see the
   // header comment); charge it to the ledger for the life of the build so
-  // sfg_mem attributes construction spikes to builder_scratch, not
+  // `sfg_obs mem` attributes construction spikes to builder_scratch, not
   // "other".  Scoped: the tracker's destructor releases at return.
   obs::mem_tracker scratch_mem{obs::mem_subsystem::builder_scratch};
   scratch_mem.set(stream.capacity() * sizeof(edge64));

@@ -279,7 +279,7 @@ json critpath_analyze(const json& rank_spans) {
   section["segments"] = std::move(seg_arr);
 
   // Ranked blame: chain time grouped by (rank, kind); wire segments group
-  // per channel so sfg_why can name the dominant pair.
+  // per channel so `sfg_obs why` can name the dominant pair.
   std::map<std::pair<int, std::string>, std::uint64_t> blame;
   for (const chain_seg& cs : chain) {
     const std::string key = cs.wire.empty() ? std::string(cs.kind) : cs.wire;

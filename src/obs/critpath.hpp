@@ -22,7 +22,7 @@
 /// The result is a contiguous, non-overlapping partition of the traversal
 /// window, so the emitted `sfg-critpath/1` section trivially satisfies
 /// the chain-connectivity and coverage invariants critpath_validate
-/// checks (and sfg_report_check --critpath enforces in CI).
+/// checks (and `sfg_obs check --critpath` enforces in CI).
 #pragma once
 
 #include <string>

@@ -1,8 +1,8 @@
 /// \file json.hpp
 /// Minimal JSON value: enough to write the run reports, bench reports and
 /// Chrome traces this library emits, and to parse them back for validation
-/// (tests round-trip every report schema; tools/sfg_report_check uses the
-/// parser to gate CI artifacts).
+/// (tests round-trip every report schema; `sfg_obs check` uses the parser
+/// to gate CI artifacts).
 ///
 /// Deliberate scope: objects preserve insertion order (reports stay
 /// diffable), integers keep their exact 64-bit value (counters must not
@@ -73,6 +73,20 @@ class json {
   [[nodiscard]] std::uint64_t as_u64() const;    ///< integral kinds (asserts fit)
   [[nodiscard]] std::int64_t as_i64() const;
   [[nodiscard]] const std::string& as_string() const { return std::get<std::string>(v_); }
+
+  /// Checked integer read for untrusted input: the value when this is an
+  /// integer kind that fits `Int`, std::nullopt for anything else (doubles
+  /// included).  The as_* accessors above assume the kind.
+  template <typename Int>
+  [[nodiscard]] std::optional<Int> get_int() const {
+    if (const auto* i = std::get_if<std::int64_t>(&v_); i && std::in_range<Int>(*i)) {
+      return static_cast<Int>(*i);
+    }
+    if (const auto* u = std::get_if<std::uint64_t>(&v_); u && std::in_range<Int>(*u)) {
+      return static_cast<Int>(*u);
+    }
+    return std::nullopt;
+  }
 
   [[nodiscard]] std::string dump() const;
   void dump_to(std::string& out) const;

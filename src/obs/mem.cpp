@@ -543,10 +543,11 @@ bool mem_validate(const json& section, std::vector<std::string>* errors) {
     if (errors != nullptr) errors->push_back(std::move(why));
     ok = false;
   };
-  const auto num = [&](const json& obj, const char* key) -> const json* {
-    const json* v = obj.is_object() ? obj.find(key) : nullptr;
-    if (v == nullptr || !v->is_number()) return nullptr;
-    return v;
+  // Byte counts, rank counts and transition tallies are non-negative
+  // integers; reading them through get_int rejects any other kind.
+  const auto u64 = [](const json& obj, const char* key) {
+    const json* v = obj.find(key);
+    return v != nullptr ? v->get_int<std::uint64_t>() : std::nullopt;
   };
   if (!section.is_object()) {
     fail("mem section is not an object");
@@ -558,27 +559,26 @@ bool mem_validate(const json& section, std::vector<std::string>* errors) {
     fail("schema is not \"sfg-mem/1\"");
     return false;
   }
-  const json* ranks = num(section, "ranks");
+  const auto ranks = u64(section, "ranks");
   const json* rows = section.find("rows");
-  if (ranks == nullptr || rows == nullptr || !rows->is_array() ||
-      rows->size() == 0 || rows->size() != ranks->as_u64()) {
-    fail("\"rows\" is not a non-empty array matching \"ranks\"");
+  if (!ranks || rows == nullptr || !rows->is_array() || rows->size() == 0 ||
+      rows->size() != *ranks) {
+    fail("\"rows\" is not a non-empty array matching an integer \"ranks\"");
     return false;
   }
   for (const char* key :
        {"budget", "accounted_current", "accounted_peak", "rss_bytes",
-        "max_rss_bytes", "baseline_rss_bytes", "peak_rss_bytes",
-        "coverage"}) {
-    if (num(section, key) == nullptr) {
-      fail(std::string("missing numeric \"") + key + "\"");
+        "max_rss_bytes", "baseline_rss_bytes", "peak_rss_bytes"}) {
+    if (!u64(section, key)) {
+      fail(std::string("missing integer \"") + key + "\"");
     }
   }
-  if (const json* v = num(section, "rss_bytes");
-      v != nullptr && v->as_u64() == 0) {
+  if (u64(section, "rss_bytes") == 0u) {
     fail("rss_bytes is zero (ground truth was never sampled)");
   }
-  if (const json* v = num(section, "coverage");
-      v != nullptr && v->as_double() < 0) {
+  if (const json* v = section.find("coverage"); v == nullptr || !v->is_number()) {
+    fail("missing numeric \"coverage\"");
+  } else if (v->as_double() < 0) {
     fail("coverage is negative");
   }
   const json* pressure = section.find("pressure");
@@ -592,8 +592,8 @@ bool mem_validate(const json& section, std::vector<std::string>* errors) {
       fail("pressure.level is not ok|soft|hard");
     }
     for (const char* key : {"to_soft", "to_hard", "to_ok"}) {
-      if (num(*pressure, key) == nullptr) {
-        fail(std::string("pressure missing numeric \"") + key + "\"");
+      if (!u64(*pressure, key)) {
+        fail(std::string("pressure missing integer \"") + key + "\"");
       }
     }
   }
@@ -602,9 +602,9 @@ bool mem_validate(const json& section, std::vector<std::string>* errors) {
   for (std::size_t r = 0; r < rows->size(); ++r) {
     const json& row = rows->at(r);
     const std::string where = "row " + std::to_string(r);
-    const json* rank = num(row, "rank");
-    if (rank == nullptr) {
-      fail(where + " missing numeric \"rank\"");
+    const json* rank = row.find("rank");
+    if (rank == nullptr || !rank->get_int<std::int64_t>()) {
+      fail(where + " missing integer \"rank\"");
       continue;
     }
     const json* subsystems = row.find("subsystems");
@@ -620,42 +620,39 @@ bool mem_validate(const json& section, std::vector<std::string>* errors) {
         fail(where + " missing subsystem \"" + kSubsystemNames[i] + "\"");
         continue;
       }
-      const json* cur = num(*entry, "current");
-      const json* peak = num(*entry, "peak");
-      if (cur == nullptr || peak == nullptr) {
+      const auto cur = u64(*entry, "current");
+      const auto peak = u64(*entry, "peak");
+      if (!cur || !peak) {
         fail(where + " subsystem \"" + kSubsystemNames[i] +
-             "\" missing numeric current/peak");
+             "\" missing integer current/peak");
         continue;
       }
-      if (peak->as_u64() < cur->as_u64()) {
+      if (*peak < *cur) {
         fail(where + " subsystem \"" + kSubsystemNames[i] +
              "\" peak < current");
       }
-      row_sum += cur->as_u64();
-      row_max_peak = std::max(row_max_peak, peak->as_u64());
+      row_sum += *cur;
+      row_max_peak = std::max(row_max_peak, *peak);
     }
-    const json* acc_cur = num(row, "accounted_current");
-    const json* acc_peak = num(row, "accounted_peak");
-    if (acc_cur == nullptr || acc_peak == nullptr) {
-      fail(where + " missing numeric accounted_current/accounted_peak");
+    const auto acc_cur = u64(row, "accounted_current");
+    const auto acc_peak = u64(row, "accounted_peak");
+    if (!acc_cur || !acc_peak) {
+      fail(where + " missing integer accounted_current/accounted_peak");
       continue;
     }
-    if (acc_cur->as_u64() != row_sum) {
+    if (*acc_cur != row_sum) {
       fail(where + " accounted_current != sum of subsystem currents");
     }
-    if (acc_peak->as_u64() < acc_cur->as_u64() ||
-        acc_peak->as_u64() < row_max_peak) {
+    if (*acc_peak < *acc_cur || *acc_peak < row_max_peak) {
       fail(where + " accounted_peak below current total or a subsystem peak");
     }
-    sum_current += acc_cur->as_u64();
-    sum_peak += acc_peak->as_u64();
+    sum_current += *acc_cur;
+    sum_peak += *acc_peak;
   }
-  if (const json* v = num(section, "accounted_current");
-      v != nullptr && v->as_u64() != sum_current) {
+  if (const auto v = u64(section, "accounted_current"); v && *v != sum_current) {
     fail("accounted_current != sum of row totals");
   }
-  if (const json* v = num(section, "accounted_peak");
-      v != nullptr && v->as_u64() != sum_peak) {
+  if (const auto v = u64(section, "accounted_peak"); v && *v != sum_peak) {
     fail("accounted_peak != sum of row peaks");
   }
   return ok;

@@ -298,8 +298,8 @@ void mem_publish_registry();
 /// totals, and the accounted-peak / RSS-growth coverage ratio.
 [[nodiscard]] json mem_section_json(json rows);
 
-/// Validate an sfg-mem/1 section (shared by sfg_report_check --mem, the
-/// sfg_mem renderer and the unit tests, so producer and checkers cannot
+/// Validate an sfg-mem/1 section (shared by `sfg_obs check --mem`,
+/// `sfg_obs mem` and the unit tests, so producer and checkers cannot
 /// drift).  Appends one message per problem to `errors` when given.
 [[nodiscard]] bool mem_validate(const json& section,
                                 std::vector<std::string>* errors);

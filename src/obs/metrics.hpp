@@ -43,7 +43,7 @@
 ///                           (span.hpp): phase self-time segments, mailbox
 ///                           flush->deliver edges, BFS level markers.
 ///                           Traversal reports then embed an sfg-critpath/1
-///                           section (critpath.hpp) consumed by sfg_why
+///                           section (critpath.hpp) consumed by `sfg_obs why`
 ///   SFG_SPAN_EVENTS=<n>     span-ring capacity per rank, rounded up to a
 ///                           power of two (default 16384); 0 disables
 ///   SFG_FLIGHT_EVENTS=<n>   flight-ring capacity per rank, rounded up to a

@@ -25,7 +25,7 @@ namespace {
 }
 
 /// Process-wide counters worth diffing into rates.  Fixed set: the sampler
-/// resolves handles once per sampler, and sfg_top knows these names.
+/// resolves handles once per sampler, and `sfg_obs top` knows these names.
 constexpr const char* kTracked[kTsTracked] = {
     "traversal.visitors_executed",
     "traversal.visitors_sent",
@@ -42,7 +42,7 @@ constexpr const char* kTracked[kTsTracked] = {
 };
 
 /// Short keys for the JSONL "rates"/"totals" objects (the registry name
-/// minus redundant prefixes; sfg_top labels come from here too).
+/// minus redundant prefixes; `sfg_obs top` labels come from here too).
 constexpr const char* kTrackedKey[kTsTracked] = {
     "visitors_executed", "visitors_sent",    "packets_sent",
     "packet_bytes_sent", "packets_dropped",  "cache_hits",
@@ -243,7 +243,7 @@ void emit_line(ts_sampler& s, const ts_sample& m) {
   }
   l += "}}\n";
   std::fwrite(l.data(), 1, l.size(), s.out);
-  std::fflush(s.out);  // sfg_top tails this live
+  std::fflush(s.out);  // `sfg_obs top` tails this live
 }
 
 void take_sample(ts_sampler& s, std::uint64_t now) {
@@ -398,7 +398,7 @@ void ts_clear() {
 }
 
 // ---------------------------------------------------------------------------
-// validation (sfg_report_check --timeseries, chaos acceptance test)
+// validation (sfg_obs check --timeseries, chaos acceptance test)
 // ---------------------------------------------------------------------------
 
 namespace {

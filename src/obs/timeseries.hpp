@@ -12,7 +12,7 @@
 /// gauges and the rank's phase self-times (as fractions of the elapsed
 /// interval, summing to at most 1), stores the sample in a fixed ring,
 /// and appends one `sfg-timeseries/1` JSONL line to the rank's file under
-/// SFG_TS_DIR (flushed per line, so `sfg_top` and `tail -f` see it live).
+/// SFG_TS_DIR (flushed per line, so `sfg_obs top` and `tail -f` see it live).
 /// ts_flush() forces a final sample at traversal end, so even a traversal
 /// shorter than the interval leaves at least one line per rank.
 ///
@@ -112,7 +112,7 @@ void ts_clear();
 /// (a rank that sampled nothing is a telemetry bug — ts_flush guarantees
 /// one line per traversal).  Appends one message per problem to *errors
 /// (if non-null); returns true when the file is valid.  Shared by
-/// `sfg_report_check --timeseries` and the chaos acceptance test.
+/// `sfg_obs check --timeseries` and the chaos acceptance test.
 bool ts_validate_file(const std::string& path,
                       std::vector<std::string>* errors);
 

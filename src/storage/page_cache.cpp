@@ -273,7 +273,7 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
         // contention stays attributed to whatever phase the caller is in.
         // With SFG_SPANS set these scopes also become the page-cache fault
         // spans of the critical-path log (phase.cpp records each io_wait
-        // self-time interval; sfg_why cross-refs them with the cache
+        // self-time interval; `sfg_obs why` cross-refs them with the cache
         // amplification counters).
         const obs::phase_scope pscope(obs::phase::io_wait);
         obs::trace_span span("cache.writeback", "storage");

@@ -147,7 +147,7 @@ class page_cache {
 
   /// Frame heat: per-frame touch counts (hits + claims) since
   /// construction.  Returns {"frames": N, "touched": M, "top": [{frame,
-  /// page, touches} x top_n]} sorted hottest-first — sfg_heat's frame
+  /// page, touches} x top_n]} sorted hottest-first — `sfg_obs heat`'s frame
   /// panel, and the attribution for "which pages are hot" questions the
   /// rank x rank matrix cannot answer.
   [[nodiscard]] obs::json heat_json(std::size_t top_n) const;

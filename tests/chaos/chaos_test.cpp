@@ -396,7 +396,7 @@ TEST(Chaos, TimeSeriesSurvivesFaults) {
   // duplicates, reordering, stalls) must still leave one well-formed
   // `sfg-timeseries/1` JSONL stream per rank — monotonic seq/ts_us, phase
   // fractions that sum to at most 1, non-negative rates.  This is the
-  // same validator that `sfg_report_check --timeseries` runs in CI, so
+  // same validator that `sfg_obs check --timeseries` runs in CI, so
   // the rules cannot drift between tests and tooling.
   namespace fs = std::filesystem;
   const auto rc = small_rmat(8);

@@ -145,6 +145,27 @@ TEST(Json, EqualityAcrossIntegerKinds) {
   EXPECT_NE(json("1"), json(1));
 }
 
+TEST(Json, CheckedIntegerReadRejectsOtherKinds) {
+  EXPECT_EQ(json(7).get_int<std::uint64_t>(), 7u);
+  EXPECT_EQ(json(std::int64_t{-1}).get_int<std::int64_t>(), -1);
+  EXPECT_EQ(json(std::numeric_limits<std::uint64_t>::max())
+                .get_int<std::uint64_t>(),
+            std::numeric_limits<std::uint64_t>::max());
+  // Out of range for the requested type.
+  EXPECT_FALSE(json(std::int64_t{-1}).get_int<std::uint64_t>());
+  EXPECT_FALSE(json(std::numeric_limits<std::uint64_t>::max())
+                   .get_int<std::int64_t>());
+  // Not an integer kind, even when the value is whole.
+  EXPECT_FALSE(json(1.0).get_int<std::uint64_t>());
+  EXPECT_FALSE(json(0.5).get_int<std::int64_t>());
+  EXPECT_FALSE(json("1").get_int<std::uint64_t>());
+  EXPECT_FALSE(json().get_int<std::uint64_t>());
+  EXPECT_FALSE(json(true).get_int<std::uint64_t>());
+  // A parsed "1.0" stays a double.
+  EXPECT_FALSE(json::parse("1.0")->get_int<std::uint64_t>());
+  EXPECT_EQ(json::parse("12")->get_int<std::uint64_t>(), 12u);
+}
+
 TEST(Json, FindAndIndexing) {
   json o = json::object();
   o["k"] = json(9);

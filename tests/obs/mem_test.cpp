@@ -2,7 +2,7 @@
 /// tracker charge/release pairing, gate-flip balance, peak monotonicity,
 /// the pressure ladder's thresholds + hysteresis + stepwise transitions,
 /// poll-side callback dispatch, the stats-traits round-trip, and the
-/// sfg-mem/1 section validator shared with sfg_report_check / sfg_mem.
+/// sfg-mem/1 section validator shared with `sfg_obs check` / `sfg_obs mem`.
 #include "obs/mem.hpp"
 
 #include <gtest/gtest.h>
@@ -272,6 +272,32 @@ TEST_F(MemTest, ValidatorRejectsMalformedSections) {
   const json section2 = mem_section_json(std::move(rows2));
   errors.clear();
   EXPECT_FALSE(mem_validate(section2, &errors));
+  EXPECT_FALSE(errors.empty());
+}
+
+TEST_F(MemTest, ValidatorRejectsNonIntegerCounts) {
+  mem_tracker t(mem_subsystem::frontier);
+  t.set(4096);
+  (void)mem_sample_rss();
+  json rows = json::array();
+  rows.push_back(mem_rank_json(kMe));
+  json section = mem_section_json(std::move(rows));
+  std::vector<std::string> errors;
+  ASSERT_TRUE(mem_validate(section, &errors))
+      << (errors.empty() ? "?" : errors.front());
+
+  // A whole-valued double is still the wrong kind: rejected with a
+  // message, where reading it as an integer used to abort.
+  section["ranks"] = json(1.0);
+  EXPECT_FALSE(mem_validate(section, &errors));
+  EXPECT_FALSE(errors.empty());
+
+  json row = mem_rank_json(kMe);
+  row["subsystems"]["frontier"]["current"] = json(4096.0);
+  json rows2 = json::array();
+  rows2.push_back(std::move(row));
+  errors.clear();
+  EXPECT_FALSE(mem_validate(mem_section_json(std::move(rows2)), &errors));
   EXPECT_FALSE(errors.empty());
 }
 

@@ -2,7 +2,7 @@
 /// pid=rank / "rank N" metadata model, and well-formedness of the
 /// serialized Chrome trace (every event carries name/ph/pid, timed events
 /// carry ts, complete events carry dur) — the same contract
-/// tools/sfg_report_check enforces on CI artifacts.
+/// `sfg_obs check --trace` enforces on CI artifacts.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>

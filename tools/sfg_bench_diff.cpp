@@ -56,28 +56,42 @@ std::optional<json> load(const fs::path& file) {
 }
 
 /// benchmark-name -> ns_per_op, over every "micro"-shaped table in a
-/// bench report (headers contain "benchmark" and "ns_per_op").
-std::map<std::string, double> extract_rows(const json& doc) {
+/// bench report (headers contain "benchmark" and "ns_per_op").  A row
+/// without a string name and a numeric time in those columns fails the
+/// gate instead of being read.
+std::map<std::string, double> extract_rows(const json& doc,
+                                           const std::string& file) {
   std::map<std::string, double> out;
   const json* tables = doc.find("tables");
   if (tables == nullptr || !tables->is_object()) return out;
   for (const auto& [tname, t] : tables->items()) {
-    (void)tname;
     const json* headers = t.find("headers");
     const json* rows = t.find("rows");
-    if (headers == nullptr || rows == nullptr) continue;
-    int name_col = -1;
-    int ns_col = -1;
-    for (std::size_t i = 0; i < headers->size(); ++i) {
-      const std::string h = headers->at(i).as_string();
-      if (h == "benchmark") name_col = static_cast<int>(i);
-      if (h == "ns_per_op") ns_col = static_cast<int>(i);
+    if (headers == nullptr || rows == nullptr || !headers->is_array() ||
+        !rows->is_array()) {
+      continue;
     }
-    if (name_col < 0 || ns_col < 0) continue;
+    std::optional<std::size_t> name_col;
+    std::optional<std::size_t> ns_col;
+    for (std::size_t i = 0; i < headers->size(); ++i) {
+      const json& h = headers->at(i);
+      if (!h.is_string()) continue;
+      if (h.as_string() == "benchmark") name_col = i;
+      if (h.as_string() == "ns_per_op") ns_col = i;
+    }
+    if (!name_col || !ns_col) continue;
     for (std::size_t r = 0; r < rows->size(); ++r) {
       const json& row = rows->at(r);
-      out[row.at(static_cast<std::size_t>(name_col)).as_string()] =
-          row.at(static_cast<std::size_t>(ns_col)).as_double();
+      const bool ok = row.is_array() &&
+                      row.size() > std::max(*name_col, *ns_col) &&
+                      row.at(*name_col).is_string() &&
+                      row.at(*ns_col).is_number();
+      if (!ok) {
+        fail(file + ": table \"" + tname + "\" row " + std::to_string(r) +
+             " has no string benchmark and numeric ns_per_op");
+        continue;
+      }
+      out[row.at(*name_col).as_string()] = row.at(*ns_col).as_double();
     }
   }
   return out;
@@ -191,8 +205,8 @@ int main(int argc, char** argv) {
       continue;
     }
     ++reports;
-    const auto base_rows = extract_rows(*base);
-    auto cur_rows = extract_rows(*cur);
+    const auto base_rows = extract_rows(*base, base_path.string());
+    auto cur_rows = extract_rows(*cur, cur_path.string());
     for (const auto& [name, base_ns] : base_rows) {
       const auto it = cur_rows.find(name);
       if (it == cur_rows.end()) {

@@ -353,7 +353,7 @@ int with_graph(const args_map& a, const char* command, std::uint32_t ghosts,
       mine = fn(c, g);
       if (c.rank() == 0) {
         // Rank 0's frame heat stands in for all ranks (symmetric caches);
-        // lands in both report flavors so sfg_heat can render it.
+        // lands in both report flavors so `sfg_obs heat` can render it.
         cache_heat = cache.heat_json(16);
         sfg::obs::set_metrics_report_section("cache_heat", cache_heat);
       }
