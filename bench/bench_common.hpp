@@ -40,7 +40,7 @@ struct bfs_measurement {
   /// network analogue of max_rank_delivered.  A partitioner can balance
   /// delivered visitors yet still overload one rank's send path.
   std::uint64_t max_rank_msgs = 0;
-  /// Traffic-matrix scalars (zero unless obs::comm_matrix_on() during the
+  /// Traffic-matrix scalars (zero unless obs::metrics_on() during the
   /// run — the reporter arms it via metrics).  max_pair_bytes is the
   /// hottest origin->dest payload stream; matrix_imbalance is max
   /// off-diagonal pair bytes over the mean off-diagonal pair bytes (1.0 =

@@ -1,16 +1,16 @@
 /// \file micro_comm_matrix.cpp
 /// Cost of the rank x rank traffic matrix on the routed-mailbox hot path
-/// (mailbox/routed_mailbox.hpp).  Three configurations of the same
+/// (mailbox/routed_mailbox.hpp).  Two configurations of the same
 /// point-to-point route+flush+unpack loop as micro_mailbox:
-///   - off:          SFG_COMM_MATRIX disabled — the matrix update sites
-///                   must cost one predictable branch each
-///   - on:           matrix rows updated per record/flush, no timestamps
-///   - lat_sampled:  matrix on plus SFG_COMM_LAT_SAMPLE=1 (every packet
-///                   carries an enqueue timestamp and the receiver reads
-///                   the clock once per packet — the worst case)
+///   - off:  data gate parked (the shipped default) — the matrix update
+///           sites must cost one predictable branch each
+///   - on:   data gate armed, as SFG_METRICS arms it: matrix rows updated
+///           per record/flush, every packet stamped with its enqueue time
+///           and the receiver reading the clock once per packet, plus the
+///           gate's registry counters and phase timers
 ///
-/// The toggles are process-wide, so each bench sets them before the
-/// measured loop and restores the defaults after.
+/// The suite's reporter arms the data gate for its registry snapshot, so
+/// the off row parks it for the measured loop and re-arms it after.
 #include <cstdint>
 #include <span>
 
@@ -31,8 +31,8 @@ constexpr int kBatch = 64;
 constexpr int kMailTag = 0;
 
 /// One rep of the point-to-point aggregation round trip (identical to
-/// micro_mailbox's route_flush/direct body, so the three variants here
-/// are directly comparable to that baseline number).
+/// micro_mailbox's route_flush/direct body, so both variants here are
+/// directly comparable to that baseline number).
 void pump_direct(std::uint64_t iters) {
   runtime::world w(2);
   auto& c0 = w.rank_comm(0);
@@ -57,38 +57,17 @@ void pump_direct(std::uint64_t iters) {
   micro::keep(sink);
 }
 
-/// RAII guard: apply a matrix/latency configuration for one bench body
-/// and restore the disabled defaults on exit.
-struct matrix_config {
-  matrix_config(bool matrix, std::uint32_t lat_sample) {
-    obs::set_comm_matrix_enabled(matrix);
-    obs::set_comm_lat_sample(lat_sample);
-  }
-  ~matrix_config() {
-    obs::set_comm_matrix_enabled(false);
-    obs::set_comm_lat_sample(1);
-  }
-  matrix_config(const matrix_config&) = delete;
-  matrix_config& operator=(const matrix_config&) = delete;
-};
-
 void bench_matrix_off(micro::suite& s) {
   s.run("mailbox/comm_matrix/off", kBatch, [](std::uint64_t iters) {
-    const matrix_config cfg(false, 0);
+    obs::set_metrics_enabled(false);
     pump_direct(iters);
+    obs::set_metrics_enabled(true);
   });
 }
 
 void bench_matrix_on(micro::suite& s) {
   s.run("mailbox/comm_matrix/on", kBatch, [](std::uint64_t iters) {
-    const matrix_config cfg(true, 0);
-    pump_direct(iters);
-  });
-}
-
-void bench_matrix_lat_sampled(micro::suite& s) {
-  s.run("mailbox/comm_matrix/lat_sampled", kBatch, [](std::uint64_t iters) {
-    const matrix_config cfg(true, 1);
+    obs::set_metrics_enabled(true);
     pump_direct(iters);
   });
 }
@@ -98,10 +77,8 @@ void bench_matrix_lat_sampled(micro::suite& s) {
 int main() {
   micro::suite s("micro_comm_matrix",
                  "routed-mailbox route+flush+unpack with the rank x rank "
-                 "traffic matrix off, on, and with per-packet latency "
-                 "sampling");
+                 "traffic matrix off and on");
   bench_matrix_off(s);
   bench_matrix_on(s);
-  bench_matrix_lat_sampled(s);
   return 0;
 }

@@ -1,8 +1,8 @@
 /// \file micro_mem.cpp
 /// Memory-attribution microbenches (obs/mem.hpp).  mem_tracker::set sits
 /// on frontier resize, queue push/pop, page-cache fill, and the mailbox
-/// record paths, so the *disabled* cost (SFG_MEM unset — the shipped
-/// default) is the number CI gates hardest: one relaxed load + compare,
+/// record paths, so the *disabled* cost (data gate off, no budget — the
+/// shipped default) is the number CI gates hardest: one relaxed load + compare,
 /// no slot resolution.  The enabled steady state (two atomic adds + a
 /// CAS-max on the cached slot) and the armed-budget shape (the same plus
 /// the ladder evaluation against the process total) are tracked so a
@@ -19,14 +19,13 @@ using namespace sfg;  // NOLINT: bench-local convenience
 
 constexpr int kBatch = 64;
 
-/// SFG_MEM unset: set() on a never-charged tracker is a relaxed load and
-/// a branch; nothing else may run.
+/// Gate off: set() on a never-charged tracker is a relaxed load and a
+/// branch; nothing else may run.
 void bench_set_off(micro::suite& s) {
   s.run("mem/set/off", kBatch, [](std::uint64_t iters) {
-    // metrics/TS imply mem_on(), so the harness's live metrics must be
+    // The data gate arms mem_on(), so the harness's live metrics must be
     // parked to measure the true shipped-default gate.
     obs::set_metrics_enabled(false);
-    obs::set_mem_enabled(false);
     obs::mem_tracker t(obs::mem_subsystem::frontier);
     for (std::uint64_t it = 0; it < iters; ++it) {
       for (int i = 0; i < kBatch; ++i) {
@@ -42,7 +41,7 @@ void bench_set_off(micro::suite& s) {
 /// the slot adjust (two relaxed adds, two CAS-max loops, process total).
 void bench_set_on(micro::suite& s) {
   s.run("mem/set/on", kBatch, [](std::uint64_t iters) {
-    obs::set_mem_enabled(true);
+    obs::set_metrics_enabled(true);
     obs::mem_tracker t(obs::mem_subsystem::frontier);
     for (std::uint64_t it = 0; it < iters; ++it) {
       for (int i = 0; i < kBatch; ++i) {
@@ -51,7 +50,6 @@ void bench_set_on(micro::suite& s) {
     }
     micro::keep(t.charged());
     t.set(0);
-    obs::set_mem_enabled(false);
     obs::mem_clear();
   });
 }
@@ -60,7 +58,7 @@ void bench_set_on(micro::suite& s) {
 /// hit this shape most of the time — must collapse to a compare.
 void bench_set_same(micro::suite& s) {
   s.run("mem/set/same", kBatch, [](std::uint64_t iters) {
-    obs::set_mem_enabled(true);
+    obs::set_metrics_enabled(true);
     obs::mem_tracker t(obs::mem_subsystem::queue_buckets);
     t.set(4096);
     for (std::uint64_t it = 0; it < iters; ++it) {
@@ -70,7 +68,6 @@ void bench_set_same(micro::suite& s) {
     }
     micro::keep(t.charged());
     t.set(0);
-    obs::set_mem_enabled(false);
     obs::mem_clear();
   });
 }
@@ -80,7 +77,7 @@ void bench_set_same(micro::suite& s) {
 /// into the fixed pending ring.  This is the worst legal charge cost.
 void bench_set_armed(micro::suite& s) {
   s.run("mem/set/armed", kBatch, [](std::uint64_t iters) {
-    obs::set_mem_enabled(true);
+    obs::set_metrics_enabled(true);
     obs::set_mem_budget(16 * 4096);
     obs::mem_clear();
     obs::mem_tracker t(obs::mem_subsystem::frontier);
@@ -94,7 +91,6 @@ void bench_set_armed(micro::suite& s) {
     t.set(0);
     obs::mem_pressure_poll();
     obs::set_mem_budget(0);
-    obs::set_mem_enabled(false);
     obs::mem_clear();
   });
 }

@@ -72,7 +72,7 @@ struct bfs_result {
   graph::vertex_state<bfs_state> state;
   traversal_stats stats;
   /// This rank's cumulative mailbox traffic matrix at traversal end (rows
-  /// are all zero unless obs::comm_matrix_on()).  Benches derive per-
+  /// are all zero unless obs::metrics_on()).  Benches derive per-
   /// partitioner traffic scalars (max pair bytes, imbalance) from it.
   mailbox::routed_mailbox::traffic_matrix matrix;
 };

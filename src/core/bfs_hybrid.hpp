@@ -35,14 +35,13 @@
 ///      rank is idle (mailbox drained, inbox empty — delayed/duplicated
 ///      fault packets included, same predicate as the visitor queue).
 ///
-/// Hybrid switching (SFG_BFS_ALPHA / SFG_BFS_BETA, Beamer's heuristic):
+/// Hybrid switching (Beamer's heuristic, α = kBfsAlpha, β = kBfsBeta):
 /// top-down → bottom-up when frontier edge mass m_f > m_u / α;
 /// bottom-up → top-down when frontier size n_f < n / β.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <optional>
@@ -89,34 +88,16 @@ inline std::optional<bfs_mode> parse_bfs_mode(std::string_view name) {
   return std::nullopt;
 }
 
-namespace detail {
-inline double env_f64(const char* name, double def) {
-  if (const char* e = std::getenv(name)) {
-    char* end = nullptr;
-    const double v = std::strtod(e, &end);
-    if (end != e && v > 0.0) return v;
-  }
-  return def;
-}
-}  // namespace detail
-
-/// α default 14 / β default 24: Beamer's published constants, which the
-/// bench sweep confirmed are not sensitive at this repo's scales.
-inline double default_bfs_alpha() {
-  static const double v = detail::env_f64("SFG_BFS_ALPHA", 14.0);
-  return v;
-}
-inline double default_bfs_beta() {
-  static const double v = detail::env_f64("SFG_BFS_BETA", 24.0);
-  return v;
-}
+/// Beamer's published α/β, which the bench sweep confirmed are not
+/// sensitive at this repo's scales.
+inline constexpr double kBfsAlpha = 14.0;
+inline constexpr double kBfsBeta = 24.0;
 
 struct hybrid_bfs_config {
   bfs_mode mode = bfs_mode::hybrid;
-  /// α/β heuristic knobs; <= 0 means "use SFG_BFS_ALPHA / SFG_BFS_BETA
-  /// (or the Beamer defaults)".
-  double alpha = 0.0;
-  double beta = 0.0;
+  /// α/β heuristic knobs (tests force one direction with extreme values).
+  double alpha = kBfsAlpha;
+  double beta = kBfsBeta;
   /// Mailbox/topology/fault knobs, shared with the async queue so one
   /// chaos schedule drives both drivers.
   queue_config queue{};
@@ -184,8 +165,6 @@ class level_sync_bfs {
   level_sync_bfs(Graph& g, const hybrid_bfs_config& cfg)
       : graph_(&g),
         cfg_(cfg),
-        alpha_(cfg.alpha > 0 ? cfg.alpha : default_bfs_alpha()),
-        beta_(cfg.beta > 0 ? cfg.beta : default_bfs_beta()),
         mailbox_(g.comm(), {cfg.queue.topo, cfg.queue.aggregation_bytes,
                             cfg.queue.data_tag}),
         state_(g.template make_state<bfs_state>(bfs_state{})) {}
@@ -274,9 +253,10 @@ class level_sync_bfs {
             bottom_up = !left_bottom_up_ && totals.unvisited_edges > 0 &&
                         static_cast<double>(totals.edges) >
                             static_cast<double>(totals.unvisited_edges) /
-                                alpha_;
+                                cfg_.alpha;
           } else if (static_cast<double>(totals.vertices) <
-                     static_cast<double>(graph_->total_vertices()) / beta_) {
+                     static_cast<double>(graph_->total_vertices()) /
+                         cfg_.beta) {
             bottom_up = false;
             left_bottom_up_ = true;
           }
@@ -427,8 +407,8 @@ class level_sync_bfs {
       std::int64_t switch_level) const {
     obs::json bfs = obs::json::object();
     bfs["mode"] = std::string(bfs_mode_name(cfg_.mode));
-    bfs["alpha"] = alpha_;
-    bfs["beta"] = beta_;
+    bfs["alpha"] = cfg_.alpha;
+    bfs["beta"] = cfg_.beta;
     bfs["direction_switch_level"] = switch_level;
     obs::json trace = obs::json::array();
     for (const auto& ls : levels) {
@@ -446,8 +426,6 @@ class level_sync_bfs {
 
   Graph* graph_;
   hybrid_bfs_config cfg_;
-  double alpha_;
-  double beta_;
   mailbox::routed_mailbox mailbox_;
   graph::vertex_state<bfs_state> state_;
   frontier cur_;

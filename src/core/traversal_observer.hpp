@@ -111,9 +111,8 @@ class traversal_observer {
     // traversals actually grew, not against the binary + graph load.
     if (obs::mem_on()) (void)obs::mem_sample_rss();
     // Live straggler gauges, resolved once per traversal (registry lookup
-    // takes a mutex).  The time-series sampler reads them too, so they
-    // update (via the ungated set_raw) whenever either consumer is on.
-    if (obs::metrics_on() || obs::ts_on()) {
+    // takes a mutex); the time-series sampler reads them too.
+    if (obs::metrics_on()) {
       auto& reg = obs::metrics_registry::instance();
       const std::string prefix = "traversal.rank" + std::to_string(c.rank());
       depth_gauge_ = &reg.get_gauge(prefix + ".queue_depth");
@@ -190,9 +189,8 @@ class traversal_observer {
     obs::span_mark(obs::span_kind::trav_end, history_->ordinal,
                    static_cast<std::uint64_t>(comm_->size()));
     span_.set_arg("executed", static_cast<double>(stats.visitors_executed));
-    // Registry fold; runs for the sampler too: the time-series "totals"
-    // come from these counters, so a TS-only run still needs it.
-    if (obs::metrics_on() || obs::ts_on()) {
+    // Registry fold; the time-series "totals" come from these counters.
+    if (obs::metrics_on()) {
       obs::stats_to_registry("traversal",
                              obs::stats_delta(stats, history_->published));
       history_->published = stats;
@@ -251,7 +249,7 @@ class traversal_observer {
     const std::vector<rank_timing> timing =
         c.all_gather(rank_timing{wall_us_, max_depth_});
     // Rank x rank traffic matrix (sfg-comm-matrix/1).
-    const bool want_matrix = obs::comm_matrix_on();
+    const bool want_matrix = obs::metrics_on();
     obs::json matrix_rows;
     if (want_matrix) matrix_rows = obs::gather_json(c, mail_->matrix_json());
     // Critical path (sfg-critpath/1): rank 0 analyzes every rank's ring.

@@ -96,7 +96,7 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   ++stats_.packets_sent;
   stats_.packet_bytes_sent += ch.buf.size();
   const std::size_t sent_bytes = ch.buf.size();
-  if (obs::comm_matrix_on()) {
+  if (obs::metrics_on()) {
     matrix_.flush_packets[static_cast<std::size_t>(next_hop)] += 1;
     matrix_.flush_bytes[static_cast<std::size_t>(next_hop)] += sent_bytes;
   }
@@ -126,9 +126,7 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   --dirty_count_;
   obs::flight_record(obs::flight_kind::mbox_flush, sent_bytes,
                      static_cast<std::uint64_t>(next_hop));
-  // The time-series sampler diffs these registry counters, so they stay
-  // live when only SFG_TS_INTERVAL_MS is set (hence the widened gate).
-  if (obs::metrics_on() || obs::ts_on()) {
+  if (obs::metrics_on()) {
     auto& reg = obs::metrics_registry::instance();
     reg.get_counter("mailbox.packets_sent").add_raw(1);
     reg.get_counter("mailbox.packet_bytes_sent").add_raw(sent_bytes);
@@ -162,7 +160,7 @@ void routed_mailbox::tick() {
       }
     }
     dirty_hops_.clear();
-    if (flushed != 0 && (obs::metrics_on() || obs::ts_on())) {
+    if (flushed != 0 && obs::metrics_on()) {
       obs::metrics_registry::instance()
           .get_counter("mem.pressure_mbox_flushes")
           .add_raw(flushed);
@@ -236,7 +234,7 @@ void routed_mailbox::note_duplicate_packet(int source, std::uint64_t seq,
   // Transport replay (fault layer): this packet was already consumed;
   // replaying it would double-deliver every record inside.
   ++stats_.packets_dropped_duplicate;
-  if (obs::comm_matrix_on()) {
+  if (obs::metrics_on()) {
     // Attribute the suppressed would-be deliveries per origin, so the
     // conservation identity (arrived == delivered + dup-rejected per pair)
     // is checkable from the matrix alone.  The payload already passed
@@ -258,7 +256,7 @@ void routed_mailbox::note_duplicate_packet(int source, std::uint64_t seq,
                      static_cast<double>(seq));
   obs::flight_record(obs::flight_kind::mbox_dup_drop,
                      static_cast<std::uint64_t>(source), seq);
-  if (obs::metrics_on() || obs::ts_on()) {
+  if (obs::metrics_on()) {
     obs::metrics_registry::instance()
         .get_counter("mailbox.packets_dropped_duplicate")
         .add_raw(1);

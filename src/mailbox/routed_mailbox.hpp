@@ -150,7 +150,7 @@ class routed_mailbox {
 
   /// Per-pair traffic accounting, one row per peer rank, owned by this
   /// rank (the data-movement layer, DESIGN.md §12).  Updated only while
-  /// obs::comm_matrix_on(); all rows are preallocated at construction so
+  /// obs::metrics_on(); all rows are preallocated at construction so
   /// the enabled path is allocation-free too.  Invariants at quiescence:
   ///   sum(sent_records)      == stats().records_sent
   ///   sum(delivered_records) == stats().records_delivered
@@ -169,8 +169,8 @@ class routed_mailbox {
     std::vector<std::uint64_t> dup_records;
     std::vector<std::uint64_t> flush_packets;  ///< [next_hop] wire packets
     std::vector<std::uint64_t> flush_bytes;    ///< [next_hop] wire bytes (incl. headers)
-    /// Sampled enqueue->deliver latency (µs): packet-open timestamp to
-    /// record walk, 1-in-comm_lat_sample() channel opens are stamped.
+    /// Enqueue->deliver latency (µs): packet-open timestamp to record walk,
+    /// one sample per packet opened while the matrix was live.
     obs::histogram latency_us;
   };
   [[nodiscard]] const traffic_matrix& matrix() const noexcept { return matrix_; }
@@ -184,11 +184,11 @@ class routed_mailbox {
  private:
   /// First bytes of every packet: the per-(sender, this-receiver) sequence
   /// number used for duplicate suppression, plus the channel-open
-  /// timestamp (µs, steady clock) for the sampled enqueue->deliver latency
-  /// histogram.  `open_ts_us == 0` means "not sampled" — the stamp costs a
-  /// clock read, so it is taken on 1-in-comm_lat_sample() channel opens
-  /// and only while the traffic matrix is live.  Ranks are threads in one
-  /// process, so sender and receiver share the clock.
+  /// timestamp (µs, steady clock) for the enqueue->deliver latency
+  /// histogram.  `open_ts_us == 0` means "not stamped" — the stamp costs a
+  /// clock read, so it is taken only while the traffic matrix is live.
+  /// Ranks are threads in one process, so sender and receiver share the
+  /// clock.
   struct packet_header {
     std::uint64_t seq;
     std::uint64_t open_ts_us;
@@ -305,11 +305,9 @@ class routed_mailbox {
   /// Exact sliding-window dedup of consumed packet sequences, per source.
   std::vector<seq_window> seen_packet_seq_;
   mailbox_stats stats_;
-  /// Per-pair traffic rows (preallocated; updated under comm_matrix_on()).
+  /// Per-pair traffic rows (preallocated; updated under metrics_on()).
   traffic_matrix matrix_;
-  /// Round-robin counter for 1-in-n latency stamping across channel opens.
-  std::uint32_t lat_tick_ = 0;
-  /// Latency stamp for the local arena (self-sends), same sampling rule.
+  /// Latency stamp for the local arena (self-sends), same rule.
   std::uint64_t local_open_ts_us_ = 0;
   /// Sum of per-channel mem_charged, so a capacity sync is O(1) instead of
   /// an O(ranks) walk over channels_.
@@ -340,7 +338,7 @@ inline void routed_mailbox::send(int final_dest,
                                  std::span<const std::byte> record,
                                  obs::trace_ctx ctx) {
   ++stats_.records_sent;
-  if (obs::comm_matrix_on()) {
+  if (obs::metrics_on()) {
     matrix_.sent_records[static_cast<std::size_t>(final_dest)] += 1;
     matrix_.sent_bytes[static_cast<std::size_t>(final_dest)] += record.size();
   }
@@ -367,11 +365,10 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
     // record; drain_local hands out span views into it (no per-record
     // allocation, see the zero-alloc test).
     auto& arena = draining_local_ ? local_scratch_ : local_arena_;
-    if (arena.empty() && local_open_ts_us_ == 0 && obs::comm_matrix_on()) {
-      // Same 1-in-n sampling as remote channel opens: the stamp pays a
-      // clock read, the drain records one latency sample per round.
-      const std::uint32_t n = obs::comm_lat_sample();
-      if (n != 0 && lat_tick_++ % n == 0) local_open_ts_us_ = now_us();
+    if (arena.empty() && local_open_ts_us_ == 0 && obs::metrics_on()) {
+      // Stamped like a remote channel open; the drain records one latency
+      // sample per round.
+      local_open_ts_us_ = now_us();
     }
     const std::size_t at = arena.size();
     arena.resize(at + frame);
@@ -391,11 +388,7 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
         sizeof(packet_header) + sizeof(record_header) + record.size()));
     ch.buf.resize(sizeof(packet_header));
     ch.opened_tick = tick_now_;
-    ch.open_ts_us = 0;
-    if (obs::comm_matrix_on()) {
-      const std::uint32_t n = obs::comm_lat_sample();
-      if (n != 0 && lat_tick_++ % n == 0) ch.open_ts_us = now_us();
-    }
+    ch.open_ts_us = obs::metrics_on() ? now_us() : 0;
     dirty_hops_.push_back(hop);
     ++dirty_count_;
   }
@@ -424,7 +417,7 @@ std::size_t routed_mailbox::process_packet(const runtime::message& m,
   // mbox_send marker exactly (obs/span.hpp, critpath.cpp).
   obs::span_mark(obs::span_kind::mbox_recv,
                  static_cast<std::uint64_t>(m.source), ph.seq);
-  const bool mx = obs::comm_matrix_on();
+  const bool mx = obs::metrics_on();
   if (mx && ph.open_ts_us != 0) {
     const std::uint64_t now = now_us();
     matrix_.latency_us.add(now > ph.open_ts_us ? now - ph.open_ts_us : 0);
@@ -480,7 +473,7 @@ std::size_t routed_mailbox::drain_local(F&& deliver) {
   // round.  Re-entrant drain calls (deliver -> drain_local) are no-ops.
   if (draining_local_) return 0;
   draining_local_ = true;
-  const bool mx = obs::comm_matrix_on();
+  const bool mx = obs::metrics_on();
   std::size_t delivered = 0;
   while (!local_arena_.empty()) {
     if (local_open_ts_us_ != 0) {

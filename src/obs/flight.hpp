@@ -15,13 +15,10 @@
 /// rank, the accepted black-box tradeoff (dumps are for post-mortems, not
 /// accounting).
 ///
-/// Environment switches (applied at start-up by metrics.cpp):
-///   SFG_FLIGHT_EVENTS=<n>  ring capacity per rank, rounded up to a power
-///                          of two (default 1024); 0 disables recording
-///   SFG_FLIGHT_DUMP=<path> where dumps land: a .json file path, or a
-///                          directory (per-process sfg_flight_<pid>.json).
-///                          Setting it also installs best-effort SIGABRT /
-///                          SIGTERM dump handlers.
+/// Configured by SFG_FLIGHT_EVENTS and SFG_FLIGHT_DUMP (metrics.hpp lists
+/// every switch).  SFG_FLIGHT_DUMP is a .json file path or a directory
+/// (per-process sfg_flight_<pid>.json), and setting it also installs
+/// best-effort SIGABRT / SIGTERM dump handlers.
 #pragma once
 
 #include <cstdint>

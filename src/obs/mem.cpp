@@ -198,7 +198,6 @@ mem_rank_slots* mem_slots_for(int rank) {
 
 void mem_apply(mem_rank_slots* slots, mem_subsystem s,
                std::int64_t delta) noexcept {
-  if (slots == nullptr) slots = mem_slots_for(util::thread_rank());
   auto& g = globals();
   const auto i = static_cast<std::size_t>(s);
   if (delta >= 0) {
@@ -256,7 +255,7 @@ void mem_pressure_poll_slow() {
   if (head - tail > mem_globals::kPendingCap) {
     tail = head - mem_globals::kPendingCap;  // overwritten entries are gone
   }
-  const bool mirror = metrics_on() || ts_on();
+  const bool mirror = metrics_on();
   for (; tail != head; ++tail) {
     auto& slot = g.pending[tail % mem_globals::kPendingCap];
     const auto level = static_cast<mem_pressure_level>(

@@ -11,11 +11,11 @@
 /// resident bytes go*, per rank, right now and at peak.
 ///
 /// Cost model mirrors flight.hpp/span.hpp: one cached-bool gate
-/// (`mem_on()`, metrics.hpp — forced by SFG_MEM / an armed SFG_MEM_BUDGET,
-/// implied by metrics or time-series), per-rank slots of relaxed atomics,
-/// and no allocation on the charge path after a rank's slot exists — for
-/// both the disabled and the armed state (tests/obs/mem_alloc_test.cpp
-/// gates both with a counting operator new).
+/// (`mem_on()`, metrics.hpp — the data gate or an armed SFG_MEM_BUDGET),
+/// per-rank slots of relaxed atomics, and no allocation on the charge
+/// path after a rank's slot exists — for both the disabled and the armed
+/// state (tests/obs/mem_alloc_test.cpp gates both with a counting
+/// operator new).
 ///
 /// Charging idiom: owning structures embed a `mem_tracker` and call
 /// `set(bytes)` with their current capacity at every point it can change.
@@ -40,9 +40,7 @@
 /// may take subsystem locks without deadlocking against the charge site
 /// that triggered the transition.
 ///
-/// Environment switches (parsed in metrics.cpp):
-///   SFG_MEM=1                force attribution on
-///   SFG_MEM_BUDGET=<bytes>   arm the pressure ladder (implies SFG_MEM)
+/// Configured by SFG_MEM_BUDGET (metrics.hpp lists every switch).
 #pragma once
 
 #include <atomic>
@@ -166,18 +164,6 @@ class mem_tracker {
   std::uint64_t charged_ = 0;
   detail::mem_rank_slots* slot_ = nullptr;
 };
-
-/// One-off charge/release against the calling rank's ledger (scoped sites
-/// should prefer mem_tracker, which balances itself).  Releases saturate
-/// at zero.  Disabled: one branch.
-inline void mem_charge(mem_subsystem s, std::uint64_t bytes) noexcept {
-  if (!mem_on() || bytes == 0) return;
-  detail::mem_apply(nullptr, s, static_cast<std::int64_t>(bytes));
-}
-inline void mem_release(mem_subsystem s, std::uint64_t bytes) noexcept {
-  if (!mem_on() || bytes == 0) return;
-  detail::mem_apply(nullptr, s, -static_cast<std::int64_t>(bytes));
-}
 
 /// Ledger reads (rank -1 = main thread; a rank that never charged reads 0).
 [[nodiscard]] std::uint64_t mem_current(mem_subsystem s, int rank) noexcept;

@@ -1,13 +1,21 @@
 #include "obs/metrics.hpp"
 
+#include <charconv>
 #include <cstdlib>
+// Constructs std::cerr before env_applied below can log a warning.
+#include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "obs/flight.hpp"
 #include "obs/span.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_context.hpp"
+#include "util/log.hpp"
 
 namespace sfg::obs {
 
@@ -34,93 +42,86 @@ constinit obs_toggles toggles{};
 
 namespace {
 
-/// Applies the SFG_* environment to detail::toggles, exactly once, from
-/// this file's static initialiser.  Any gate use links this file in, so
-/// the initialiser always runs before main().
+/// A path-valued switch: the variable's value, or null when unset/empty.
+const char* env_path(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr && *env != '\0' ? env : nullptr;
+}
+
+/// The one reader for numeric switches: a whole decimal number in
+/// [0, max].  Unset or empty gives nullopt.  Anything else that is not
+/// such a number (a sign, a unit suffix, overflow) logs one warning naming
+/// the variable and gives nullopt too, so the switch keeps its default.
+std::optional<std::uint64_t> env_number(const char* name, std::uint64_t max) {
+  const char* env = env_path(name);
+  if (env == nullptr) return std::nullopt;
+  const std::string_view text(env);
+  const char* const last = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec == std::errc{} && end == last && v <= max) return v;
+  SFG_LOG_WARN << name << '=' << text << " is not a whole number in [0, "
+               << max << "]; keeping the default";
+  return std::nullopt;
+}
+
+/// Applies the SFG_* environment to detail::toggles and the obs modules,
+/// exactly once, from this file's static initialiser.  Any gate use links
+/// this file in, so the initialiser always runs before main().
 struct apply_env {
   apply_env() {
     using namespace detail;
-    if (const char* env = std::getenv("SFG_METRICS"); env != nullptr && *env != '\0') {
+    constexpr std::uint64_t kMaxCount =
+        std::numeric_limits<std::uint32_t>::max();
+    if (const char* path = env_path("SFG_METRICS")) {
       set_switch(kMetricsBit, true);
-      auto& rp = report_path();
-      const std::scoped_lock lock(rp.mu);
-      rp.path = env;
+      set_metrics_report_path(path);
     }
-    if (const char* env = std::getenv("SFG_TRACE"); env != nullptr && *env != '\0') {
+    if (const char* path = env_path("SFG_TRACE")) {
       set_switch(kTraceBit, true);
       // One writer for the whole process: whatever was traced by exit time
       // lands at the SFG_TRACE path, no matter which layer traced it.  A
       // process that traced nothing (a validator run under the same
       // environment) leaves the file alone instead of emptying it.
       static std::string trace_path;
-      trace_path = env;
+      trace_path = path;
       std::atexit([] {
         if (trace_event_count() > 0 || trace_dropped_count() > 0) {
           write_chrome_trace(trace_path);
         }
       });
     }
-    if (const char* env = std::getenv("SFG_TRACE_SAMPLE");
-        env != nullptr && *env != '\0') {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) {
-        toggles.sample.store(static_cast<std::uint32_t>(n),
-                             std::memory_order_relaxed);
-      }
+    if (const auto n = env_number("SFG_TRACE_SAMPLE", kMaxCount)) {
+      set_trace_sample_rate(static_cast<std::uint32_t>(*n));
     }
-    // The interval itself (and SFG_TS_DIR) is parsed lazily by the sampler
-    // (timeseries.cpp); only the cheap gate bit lives here with its peers.
-    if (const char* env = std::getenv("SFG_TS_INTERVAL_MS");
-        env != nullptr && *env != '\0') {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) set_switch(kTimeseriesBit, true);
+    if (const char* dir = env_path("SFG_TS_DIR")) set_ts_dir(dir);
+    if (const auto n = env_number("SFG_TS_INTERVAL_MS", kMaxCount)) {
+      set_ts_interval_ms(static_cast<std::uint32_t>(*n));
     }
-    if (const char* env = std::getenv("SFG_COMM_MATRIX");
-        env != nullptr && *env != '\0' && *env != '0') {
-      set_switch(kCommMatrixBit, true);
+    if (const auto n = env_number("SFG_SPANS", 1)) {
+      set_switch(kSpansBit, *n == 1);
     }
-    if (const char* env = std::getenv("SFG_IO_HIST");
-        env != nullptr && *env != '\0' && *env != '0') {
-      set_switch(kIoHistBit, true);
-    }
-    if (const char* env = std::getenv("SFG_SPANS");
-        env != nullptr && *env != '\0' && *env != '0') {
-      set_switch(kSpansBit, true);
-    }
-    // Ring capacities (event_ring.hpp): a non-positive count turns the
-    // log's gate off instead.
+    // Ring capacities (event_ring.hpp): a count of 0 turns the log's gate
+    // off instead.
     const auto ring_env = [](const char* name, std::uint32_t bit,
                              void (*set_capacity)(std::size_t)) {
-      const char* env = std::getenv(name);
-      if (env == nullptr || *env == '\0') return;
-      const long n = std::strtol(env, nullptr, 10);
-      if (n <= 0) {
+      const auto n = env_number(name, kMaxCount);
+      if (!n) return;
+      if (*n == 0) {
         set_switch(bit, false);
       } else {
-        set_capacity(static_cast<std::size_t>(n));
+        set_capacity(static_cast<std::size_t>(*n));
       }
     };
     ring_env("SFG_SPAN_EVENTS", kSpansBit, &set_span_capacity);
     ring_env("SFG_FLIGHT_EVENTS", kFlightBit, &set_flight_capacity);
-    if (const char* env = std::getenv("SFG_FLIGHT_DUMP");
-        env != nullptr && *env != '\0') {
-      set_flight_dump_path(env);
+    if (const char* path = env_path("SFG_FLIGHT_DUMP")) {
+      set_flight_dump_path(path);
       install_flight_signal_dumps();
     }
-    if (const char* env = std::getenv("SFG_COMM_LAT_SAMPLE");
-        env != nullptr && *env != '\0') {
-      const long n = std::strtol(env, nullptr, 10);
-      toggles.comm_lat_sample.store(n > 0 ? static_cast<std::uint32_t>(n) : 0,
-                                    std::memory_order_relaxed);
-    }
-    if (const char* env = std::getenv("SFG_MEM");
-        env != nullptr && *env != '\0' && *env != '0') {
-      set_switch(kMemBit, true);
-    }
-    if (const char* env = std::getenv("SFG_MEM_BUDGET");
-        env != nullptr && *env != '\0') {
-      const unsigned long long n = std::strtoull(env, nullptr, 10);
-      if (n > 0) set_mem_budget(n);
+    if (const auto n = env_number("SFG_MEM_BUDGET",
+                                  std::numeric_limits<std::uint64_t>::max())) {
+      set_mem_budget(*n);
     }
   }
 } const env_applied;
@@ -129,23 +130,11 @@ struct apply_env {
 
 void set_metrics_enabled(bool on) { detail::set_switch(detail::kMetricsBit, on); }
 
-void set_comm_matrix_enabled(bool on) {
-  detail::set_switch(detail::kCommMatrixBit, on);
-}
-
-void set_io_hist_enabled(bool on) { detail::set_switch(detail::kIoHistBit, on); }
-
-void set_comm_lat_sample(std::uint32_t n) {
-  detail::toggles.comm_lat_sample.store(n, std::memory_order_relaxed);
-}
-
 void set_spans_enabled(bool on) { detail::set_switch(detail::kSpansBit, on); }
-
-void set_mem_enabled(bool on) { detail::set_switch(detail::kMemBit, on); }
 
 void set_mem_budget(std::uint64_t bytes) {
   detail::toggles.mem_budget.store(bytes, std::memory_order_relaxed);
-  if (bytes > 0) set_mem_enabled(true);  // the ladder needs accounting
+  detail::set_switch(detail::kMemBudgetBit, bytes > 0);
 }
 
 std::string metrics_report_path() {

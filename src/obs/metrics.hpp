@@ -14,32 +14,26 @@
 /// counting operator new).  Enabled, a counter bump is one relaxed
 /// fetch_add.
 ///
-/// Environment switches (mirroring SFG_LOG / SFG_CHAOS_SEED):
-///   SFG_METRICS=<path>      enable metrics; visitor-queue traversals append
-///                           a structured JSON report at <path>
+/// Environment switches, read once by metrics.cpp's static initialiser
+/// (README.md's table is the user-facing list).  Every count is a whole
+/// decimal number: a malformed or out-of-range value keeps the switch at
+/// its default and logs one warning naming the variable.
+///   SFG_METRICS=<path>      arm the data gate (metrics_on()); traversals
+///                           append a structured JSON report at <path>
 ///                           (run_report.hpp)
 ///   SFG_TRACE=<path>        enable tracing; a Chrome/Perfetto-loadable trace
 ///                           is written to <path> at process exit if the
 ///                           process recorded any event (trace.hpp)
 ///   SFG_TRACE_SAMPLE=<n>    sample 1-in-n visitor pushes with a causal trace
 ///                           context that follows the visitor across ranks
-///                           (trace_context.hpp); 0/unset disables sampling
-///   SFG_TS_INTERVAL_MS=<n>  enable live time-series sampling every n ms
-///                           (timeseries.hpp); 0/unset disables
+///                           (trace_context.hpp); 0 disables sampling
+///   SFG_TS_INTERVAL_MS=<n>  live time-series sampling every n ms
+///                           (timeseries.hpp), which arms the data gate;
+///                           0 disables
 ///   SFG_TS_DIR=<dir>        per-rank sfg-timeseries/1 JSONL output dir
-///   SFG_COMM_MATRIX=1       force the rank x rank traffic matrix on even
-///                           when metrics/time-series are off
-///                           (mailbox/routed_mailbox.hpp); it is implied by
-///                           SFG_METRICS and SFG_TS_INTERVAL_MS
-///   SFG_COMM_LAT_SAMPLE=<n> sample 1-in-n packets with an enqueue->deliver
-///                           latency timestamp (default 1 = every packet;
-///                           0 disables latency sampling entirely)
-///   SFG_IO_HIST=1           force storage I/O latency histograms and the
-///                           reuse-distance estimator on even when
-///                           metrics/time-series are off (page_cache.hpp,
-///                           block_device.hpp); implied by SFG_METRICS and
-///                           SFG_TS_INTERVAL_MS
-///   SFG_SPANS=1             record the per-rank critical-path span log
+///                           (default "."); files are truncated when a
+///                           rank's sampler starts
+///   SFG_SPANS=0|1           record the per-rank critical-path span log
 ///                           (span.hpp): phase self-time segments, mailbox
 ///                           flush->deliver edges, BFS level markers.
 ///                           Traversal reports then embed an sfg-critpath/1
@@ -49,14 +43,10 @@
 ///   SFG_FLIGHT_EVENTS=<n>   flight-ring capacity per rank, rounded up to a
 ///                           power of two (default 1024); 0 disables
 ///   SFG_FLIGHT_DUMP=<path>  where flight dumps land (flight.hpp)
-///   SFG_MEM=1               force per-subsystem memory attribution on
-///                           (mem.hpp) even when metrics/time-series are
-///                           off; it is implied by SFG_METRICS and
-///                           SFG_TS_INTERVAL_MS
 ///   SFG_MEM_BUDGET=<bytes>  arm the soft memory budget: accounted bytes
 ///                           crossing the ladder thresholds fire ok/soft/
 ///                           hard pressure transitions (mem.hpp); implies
-///                           attribution on.  0/unset disarms the ladder
+///                           memory attribution.  0 disarms the ladder
 #pragma once
 
 #include <atomic>
@@ -73,27 +63,21 @@ namespace sfg::obs {
 namespace detail {
 
 /// Bits of obs_toggles::on, one per boolean switch.  They share a word so
-/// that a gate implied by several switches (phase_on, comm_matrix_on, ...)
+/// that a gate implied by several switches (metrics_on, phase_on, mem_on)
 /// is still one load and one mask test.
 inline constexpr std::uint32_t kMetricsBit = 1u << 0;
 inline constexpr std::uint32_t kTraceBit = 1u << 1;
 /// Live time-series sampling (SFG_TS_INTERVAL_MS > 0, timeseries.hpp).
 inline constexpr std::uint32_t kTimeseriesBit = 1u << 2;
-/// Force the rank x rank traffic matrix on (SFG_COMM_MATRIX); the matrix
-/// also runs whenever metrics or time-series are on (comm_matrix_on()).
-inline constexpr std::uint32_t kCommMatrixBit = 1u << 3;
-/// Force storage I/O latency histograms on (SFG_IO_HIST); also implied
-/// by metrics / time-series (io_hist_on()).
-inline constexpr std::uint32_t kIoHistBit = 1u << 4;
-/// Critical-path span log (SFG_SPANS, span.hpp); unlike the matrix and
-/// the I/O histograms this is opt-in only — never implied by metrics.
-inline constexpr std::uint32_t kSpansBit = 1u << 5;
-/// Force per-subsystem memory attribution on (SFG_MEM, mem.hpp); also
-/// implied by metrics / time-series (mem_on()) and by a non-zero budget.
-inline constexpr std::uint32_t kMemBit = 1u << 6;
+/// Critical-path span log (SFG_SPANS, span.hpp): opt-in only, never
+/// implied by the data gate.
+inline constexpr std::uint32_t kSpansBit = 1u << 3;
 /// Flight recorder (flight.hpp): the one switch that defaults to ON;
 /// SFG_FLIGHT_EVENTS=0 clears it.
-inline constexpr std::uint32_t kFlightBit = 1u << 7;
+inline constexpr std::uint32_t kFlightBit = 1u << 4;
+/// Set exactly while obs_toggles::mem_budget is non-zero (set_mem_budget
+/// keeps the two in step), so mem_on() stays one load.
+inline constexpr std::uint32_t kMemBudgetBit = 1u << 5;
 
 /// The process's observability switches.  Compiled-in defaults below; the
 /// SFG_* environment is applied once, by metrics.cpp's static initialiser.
@@ -103,9 +87,6 @@ struct obs_toggles {
   std::atomic<std::uint32_t> on{kFlightBit};
   /// Visitor causal-sampling rate: sample 1-in-`sample` pushes; 0 = off.
   std::atomic<std::uint32_t> sample{0};
-  /// Packet latency sampling rate: stamp 1-in-`comm_lat_sample` packets
-  /// with an enqueue timestamp; 0 = never (matrix counters still run).
-  std::atomic<std::uint32_t> comm_lat_sample{1};
   /// Soft memory budget in bytes (SFG_MEM_BUDGET, mem.hpp); 0 = disarmed.
   std::atomic<std::uint64_t> mem_budget{0};
 };
@@ -127,9 +108,11 @@ inline void set_switch(std::uint32_t bit, bool on) noexcept {
 
 }  // namespace detail
 
-/// The cached-bool gate: one relaxed load, one predictable branch.
+/// The data gate: true while the metrics report or the time-series
+/// sampler is armed.  Every registry, traffic-matrix and storage-I/O site
+/// checks it: one relaxed load, one predictable branch.
 [[nodiscard]] inline bool metrics_on() noexcept {
-  return detail::any_on(detail::kMetricsBit);
+  return detail::any_on(detail::kMetricsBit | detail::kTimeseriesBit);
 }
 
 /// The time-series sampler's gate (ts_poll in timeseries.hpp).
@@ -153,37 +136,18 @@ inline void set_switch(std::uint32_t bit, bool on) noexcept {
                         detail::kSpansBit);
 }
 
-/// Traffic-matrix gate (mailbox/routed_mailbox.hpp): the rank x rank
-/// record/byte/flush matrix updates whenever any consumer wants it —
-/// metrics reports, the live sampler, or an explicit SFG_COMM_MATRIX=1.
-/// The matrix rows are preallocated at mailbox construction, so the
-/// enabled path is allocation-free too.
-[[nodiscard]] inline bool comm_matrix_on() noexcept {
-  return detail::any_on(detail::kCommMatrixBit | detail::kMetricsBit |
-                        detail::kTimeseriesBit);
-}
-
-/// Storage I/O attribution gate (page_cache.hpp, block_device.hpp):
-/// latency histograms and the reuse-distance estimator read clocks, so
-/// they only run when a consumer is live (or SFG_IO_HIST=1 forces them).
-[[nodiscard]] inline bool io_hist_on() noexcept {
-  return detail::any_on(detail::kIoHistBit | detail::kMetricsBit |
-                        detail::kTimeseriesBit);
-}
-
-/// Packet latency sampling rate (1-in-n packet flushes carry an enqueue
-/// timestamp; 0 disables latency stamping without touching the matrix).
-[[nodiscard]] inline std::uint32_t comm_lat_sample() noexcept {
-  return detail::toggles.comm_lat_sample.load(std::memory_order_relaxed);
-}
+/// The rank x rank traffic matrix (mailbox/routed_mailbox.hpp) and the
+/// storage I/O histograms (page_cache.hpp, block_device.hpp) run under
+/// the data gate; these names stay for callers that list every gate.
+[[nodiscard]] inline bool comm_matrix_on() noexcept { return metrics_on(); }
+[[nodiscard]] inline bool io_hist_on() noexcept { return metrics_on(); }
 
 /// Memory-attribution gate (mem.hpp): the per-rank per-subsystem byte
-/// counters update whenever any consumer wants them — metrics reports,
-/// the live sampler, an explicit SFG_MEM=1, or an armed budget (the
+/// counters update under the data gate, or while a budget is armed (the
 /// pressure ladder cannot fire without the accounting that feeds it).
 [[nodiscard]] inline bool mem_on() noexcept {
-  return detail::any_on(detail::kMemBit | detail::kMetricsBit |
-                        detail::kTimeseriesBit);
+  return detail::any_on(detail::kMetricsBit | detail::kTimeseriesBit |
+                        detail::kMemBudgetBit);
 }
 
 /// Soft memory budget in bytes (SFG_MEM_BUDGET / set_mem_budget);
@@ -192,20 +156,12 @@ inline void set_switch(std::uint32_t bit, bool on) noexcept {
   return detail::toggles.mem_budget.load(std::memory_order_relaxed);
 }
 
-/// Programmatic override (benches/CLI/tests); the env var is only the
-/// default.
+/// Programmatic overrides (benches/CLI/tests); the environment only sets
+/// the defaults.
 void set_metrics_enabled(bool on);
-
-/// Programmatic overrides for the data-movement layer (micro_comm_matrix
-/// and the alloc tests flip these without touching the environment).
-void set_comm_matrix_enabled(bool on);
-void set_io_hist_enabled(bool on);
-void set_comm_lat_sample(std::uint32_t n);
 void set_spans_enabled(bool on);
-/// Memory-attribution overrides (mem.hpp).  A non-zero budget also turns
-/// the accounting on (the ladder needs the counters); setting it back to
-/// zero disarms the ladder but leaves the accounting toggle alone.
-void set_mem_enabled(bool on);
+/// Arms (non-zero) or disarms (0) the pressure ladder; memory attribution
+/// follows it unless the data gate keeps it on.
 void set_mem_budget(std::uint64_t bytes);
 
 /// Path for traversal run reports (SFG_METRICS or set_metrics_report_path);

@@ -23,10 +23,8 @@
 /// All timestamps come from trace_now_us() (trace.hpp) — one process-wide
 /// steady epoch, so cross-rank comparisons need no clock alignment.
 ///
-/// Environment switches (applied at start-up by metrics.cpp):
-///   SFG_SPANS=1            enable span recording (see metrics.hpp)
-///   SFG_SPAN_EVENTS=<n>    ring capacity per rank, rounded up to a power
-///                          of two (default 16384); 0 disables recording
+/// Configured by SFG_SPANS and SFG_SPAN_EVENTS (metrics.hpp lists every
+/// switch).
 #pragma once
 
 #include <cstdint>

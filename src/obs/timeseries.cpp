@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -81,29 +80,13 @@ struct ts_sampler {
 /// Global sampler table, same shape as flight.cpp's ring table: slot
 /// [rank + 1] (rank -1, the main thread outside launch, gets slot 0), a
 /// generation counter to invalidate per-thread caches on reconfiguration,
-/// and lazily-parsed interval/dir config seeded from the environment.
+/// and the interval/dir config (metrics.cpp applies the environment).
 struct ts_globals {
   std::mutex mu;
   std::vector<std::unique_ptr<ts_sampler>> samplers;
   std::atomic<std::uint64_t> interval_ns{0};
   std::atomic<std::uint64_t> gen{1};
-  std::string dir;
-
-  ts_globals() {
-    if (const char* env = std::getenv("SFG_TS_INTERVAL_MS");
-        env != nullptr && *env != '\0') {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) {
-        interval_ns.store(static_cast<std::uint64_t>(n) * 1'000'000,
-                          std::memory_order_relaxed);
-      }
-    }
-    if (const char* env = std::getenv("SFG_TS_DIR"); env != nullptr && *env != '\0') {
-      dir = env;
-    } else {
-      dir = ".";
-    }
-  }
+  std::string dir = ".";
 };
 
 ts_globals& globals() {

@@ -24,11 +24,8 @@
 /// fixed, counter/gauge handles are resolved once, and the line buffer's
 /// capacity persists across samples.
 ///
-/// Environment switches:
-///   SFG_TS_INTERVAL_MS=<n>  sample every n ms (0/unset disables)
-///   SFG_TS_DIR=<dir>        output directory (default "."); files are
-///                           named sfg_ts_rank<r>.jsonl, truncated when a
-///                           rank's sampler starts
+/// Configured by SFG_TS_INTERVAL_MS and SFG_TS_DIR (metrics.hpp lists
+/// every switch); rank r writes <dir>/sfg_ts_rank<r>.jsonl.
 #pragma once
 
 #include <cstdint>

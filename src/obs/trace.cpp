@@ -91,12 +91,6 @@ void trace_complete(const char* name, const char* cat, std::uint64_t start_us,
                       start_us, dur_us, arg_name, arg_value});
 }
 
-void trace_counter_event(const char* name, double value) noexcept {
-  if (!trace_on()) return;
-  detail::trace_emit({name, "counter", 'C', detail::trace_pid(),
-                      detail::trace_tid(), trace_now_us(), 0, "value", value});
-}
-
 void trace_flow(char ph, const char* name, const char* cat, std::uint64_t id,
                 const char* arg_name, double arg_value) noexcept {
   if (!trace_on()) return;

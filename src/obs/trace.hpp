@@ -42,7 +42,7 @@ namespace detail {
 struct trace_event {
   const char* name;
   const char* cat;
-  char ph;  ///< 'X' complete, 'i' instant, 'C' counter, 's'/'t'/'f' flow
+  char ph;  ///< 'X' complete, 'i' instant, 's'/'t'/'f' flow
   std::int32_t pid;
   std::uint32_t tid;
   std::uint64_t ts_us;
@@ -101,9 +101,6 @@ void trace_instant(const char* name, const char* cat = "sfg",
 void trace_complete(const char* name, const char* cat, std::uint64_t start_us,
                     std::uint64_t dur_us, const char* arg_name = nullptr,
                     double arg_value = 0) noexcept;
-
-/// Counter track ('C'): one series per name, plotted over time.
-void trace_counter_event(const char* name, double value) noexcept;
 
 /// Chrome-trace flow event ('s' start / 't' step / 'f' end).  Events with
 /// the same (cat, id) pair are drawn as one arrow chain across rank rows —

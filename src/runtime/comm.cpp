@@ -86,9 +86,7 @@ void comm::post(int dest, message m) {
   stats_.bytes_sent += bytes;
   ++sent_per_dest_[static_cast<std::size_t>(dest)];
   bytes_per_dest_[static_cast<std::size_t>(dest)] += bytes;
-  // The time-series sampler diffs comm.* for live transport rates, so the
-  // registry updates stay live when only SFG_TS_INTERVAL_MS is set.
-  if (obs::metrics_on() || obs::ts_on()) {
+  if (obs::metrics_on()) {
     m_messages_sent_.add_raw(1);
     m_bytes_sent_.add_raw(bytes);
   }
@@ -167,7 +165,7 @@ bool comm::try_recv(message& out) {
   ep.inbox.pop_front();
   ++stats_.messages_received;
   stats_.bytes_received += out.payload.size();
-  if (obs::metrics_on() || obs::ts_on()) {
+  if (obs::metrics_on()) {
     m_messages_received_.add_raw(1);
     m_bytes_received_.add_raw(out.payload.size());
   }

@@ -142,7 +142,7 @@ void sim_nvram_device::release_slot() {
 void sim_nvram_device::read(std::uint64_t offset, std::span<std::byte> out) {
   // Time the whole operation including the queue-slot wait: with many
   // concurrent requests the wait *is* the interesting number (§II-B).
-  const std::uint64_t t0 = obs::io_hist_on() ? now_us() : 0;
+  const std::uint64_t t0 = obs::metrics_on() ? now_us() : 0;
   acquire_slot();
   // The sleep models device service time; concurrent readers overlap their
   // sleeps up to queue_depth, exactly like NAND channel parallelism.
@@ -154,7 +154,7 @@ void sim_nvram_device::read(std::uint64_t offset, std::span<std::byte> out) {
     stats_.bytes_read += out.size();
     if (t0 != 0) stats_.read_us.add(now_us() - t0);
   }
-  if (obs::metrics_on() || obs::ts_on()) {
+  if (obs::metrics_on()) {
     auto& reg = obs::metrics_registry::instance();
     reg.get_counter("nvram.reads").add_raw(1);
     reg.get_counter("nvram.bytes_read").add_raw(out.size());
@@ -165,7 +165,7 @@ void sim_nvram_device::read(std::uint64_t offset, std::span<std::byte> out) {
 
 void sim_nvram_device::write(std::uint64_t offset,
                              std::span<const std::byte> data) {
-  const std::uint64_t t0 = obs::io_hist_on() ? now_us() : 0;
+  const std::uint64_t t0 = obs::metrics_on() ? now_us() : 0;
   acquire_slot();
   std::this_thread::sleep_for(params_.write_latency);
   inner_->write(offset, data);
@@ -175,7 +175,7 @@ void sim_nvram_device::write(std::uint64_t offset,
     stats_.bytes_written += data.size();
     if (t0 != 0) stats_.write_us.add(now_us() - t0);
   }
-  if (obs::metrics_on() || obs::ts_on()) {
+  if (obs::metrics_on()) {
     auto& reg = obs::metrics_registry::instance();
     reg.get_counter("nvram.writes").add_raw(1);
     reg.get_counter("nvram.bytes_written").add_raw(data.size());

@@ -28,7 +28,7 @@ namespace sfg::storage {
 /// mmap_device): operation/byte counters plus per-operation latency
 /// histograms (µs).  Counters are unconditional (one u64 add under the
 /// device's stats lock); the histograms read clocks, so devices record
-/// them only while obs::io_hist_on().
+/// them only while obs::metrics_on().
 struct device_io_stats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;

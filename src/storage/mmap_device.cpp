@@ -59,7 +59,7 @@ void mmap_device::read(std::uint64_t offset, std::span<std::byte> out) {
     std::memset(out.data(), 0, out.size());
     return;
   }
-  const std::uint64_t t0 = obs::io_hist_on() ? now_us() : 0;
+  const std::uint64_t t0 = obs::metrics_on() ? now_us() : 0;
   const std::uint64_t n =
       std::min<std::uint64_t>(out.size(), size_ - offset);
   std::memcpy(out.data(), map_ + offset, n);
@@ -75,7 +75,7 @@ void mmap_device::write(std::uint64_t offset,
   if (offset + data.size() > size_) {
     throw std::out_of_range("mmap_device: write beyond fixed mapping");
   }
-  const std::uint64_t t0 = obs::io_hist_on() ? now_us() : 0;
+  const std::uint64_t t0 = obs::metrics_on() ? now_us() : 0;
   std::memcpy(map_ + offset, data.data(), data.size());
   const std::scoped_lock lock(stats_mu_);
   ++stats_.writes;

@@ -112,7 +112,7 @@ void page_cache::on_mem_pressure(obs::mem_pressure_level level) {
   cv_.notify_all();
   obs::trace_instant("cache.mem_shrink", "storage", "freed",
                      static_cast<double>(freed));
-  if (obs::metrics_on() || obs::ts_on()) {
+  if (obs::metrics_on()) {
     obs::metrics_registry::instance()
         .get_counter("mem.pressure_cache_shrinks")
         .add_raw(1);
@@ -208,11 +208,11 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
                                      std::size_t requested_bytes) {
   std::unique_lock lock(mu_);
   stats_.bytes_requested += requested_bytes;
-  if (obs::metrics_on() || obs::ts_on()) {
+  // The data gate, loaded once: registry counters, latency histograms and
+  // the reuse-distance estimator all run under it.
+  const bool data_on = obs::metrics_on();
+  if (data_on) {
     m_bytes_requested_.add_raw(requested_bytes);
-  }
-  const bool io_hist = obs::io_hist_on();
-  if (io_hist) {
     // Sampled reuse distance: clock = accesses so far; a slot collision
     // simply overwrites (that is the sampling, not an error).
     const std::uint64_t clk = stats_.hits + stats_.misses;
@@ -241,13 +241,10 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       f.referenced = true;
       ++f.touches;
       ++stats_.hits;
-      // Widened gate (not counter::add): the time-series sampler diffs
-      // cache.* registry counters, so they must tick when only
-      // SFG_TS_INTERVAL_MS is set.
-      if (obs::metrics_on() || obs::ts_on()) m_hits_.add_raw(1);
+      if (data_on) m_hits_.add_raw(1);
       return page_ref(this, it->second, page_id);
     }
-    if (io_hist && fault_t0 == 0) fault_t0 = now_us();
+    if (data_on && fault_t0 == 0) fault_t0 = now_us();
 
     const std::size_t v = find_victim_locked();
     if (v == frames_.size()) {
@@ -267,7 +264,7 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       const std::uint64_t old_page = f.page_id;
       std::vector<std::byte> copy = f.data;
       const auto io_delay = draw_io_delay_locked();
-      const std::uint64_t w0 = io_hist ? now_us() : 0;
+      const std::uint64_t w0 = data_on ? now_us() : 0;
       {
         // io_wait phase: only the unlocked device time counts — lock
         // contention stays attributed to whatever phase the caller is in.
@@ -287,12 +284,10 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       ++stats_.writebacks;
       ++stats_.evict_writeback;
       stats_.dev_bytes_written += copy.size();
-      if (io_hist) {
+      if (data_on) {
         const std::uint64_t us = now_us() - w0;
         stats_.write_us.add(us);
         m_write_us_.record_raw(us);
-      }
-      if (obs::metrics_on() || obs::ts_on()) {
         m_writebacks_.add_raw(1);
         m_dev_bytes_written_.add_raw(copy.size());
       }
@@ -305,7 +300,7 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
                          static_cast<double>(f.page_id));
       page_to_frame_.erase(f.page_id);
       ++stats_.evictions;
-      if (obs::metrics_on() || obs::ts_on()) m_evictions_.add_raw(1);
+      if (data_on) m_evictions_.add_raw(1);
     }
 
     // Claim the frame and fault the page in with the lock released, so
@@ -322,12 +317,12 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     page_to_frame_[page_id] = v;
     ++stats_.misses;
     stats_.dev_bytes_read += cfg_.page_size;
-    if (obs::metrics_on() || obs::ts_on()) {
+    if (data_on) {
       m_misses_.add_raw(1);
       m_dev_bytes_read_.add_raw(cfg_.page_size);
     }
     const auto io_delay = draw_io_delay_locked();
-    const std::uint64_t r0 = io_hist ? now_us() : 0;
+    const std::uint64_t r0 = data_on ? now_us() : 0;
     {
       const obs::phase_scope pscope(obs::phase::io_wait);
       obs::trace_span span("cache.miss_fill", "storage");
@@ -338,7 +333,7 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       lock.lock();
     }
     f.loading = false;
-    if (io_hist) {
+    if (data_on) {
       const std::uint64_t done = now_us();
       stats_.read_us.add(done - r0);
       m_read_us_.record_raw(done - r0);
@@ -370,7 +365,7 @@ void page_cache::mark_dirty(std::size_t frame_idx) {
 
 void page_cache::flush_dirty() {
   std::unique_lock lock(mu_);
-  const bool io_hist = obs::io_hist_on();
+  const bool data_on = obs::metrics_on();
   for (std::size_t i = 0; i < frames_.size(); ++i) {
     frame& f = frames_[i];
     if (f.page_id == kNoPage || !f.dirty || f.loading) continue;
@@ -380,7 +375,7 @@ void page_cache::flush_dirty() {
     const std::uint64_t page = f.page_id;
     std::vector<std::byte> copy = f.data;
     const auto io_delay = draw_io_delay_locked();
-    const std::uint64_t w0 = io_hist ? now_us() : 0;
+    const std::uint64_t w0 = data_on ? now_us() : 0;
     {
       const obs::phase_scope pscope(obs::phase::io_wait);
       obs::trace_span span("cache.writeback", "storage");
@@ -393,12 +388,10 @@ void page_cache::flush_dirty() {
     f.loading = false;
     ++stats_.writebacks;
     stats_.dev_bytes_written += copy.size();
-    if (io_hist) {
+    if (data_on) {
       const std::uint64_t us = now_us() - w0;
       stats_.write_us.add(us);
       m_write_us_.record_raw(us);
-    }
-    if (obs::metrics_on() || obs::ts_on()) {
       m_writebacks_.add_raw(1);
       m_dev_bytes_written_.add_raw(copy.size());
     }

@@ -129,7 +129,7 @@ class page_cache {
     /// frames stay in `evictions`, injected drops in `fault_evictions`).
     std::uint64_t evict_writeback = 0;
     /// Per-operation latency histograms (µs), recorded only while
-    /// obs::io_hist_on() — clock reads cost too much for the always-on
+    /// obs::metrics_on() — clock reads cost too much for the always-on
     /// path.  fault_us is the full miss service time a caller observed
     /// (victim search + any writeback stall + fill); read_us / write_us
     /// are the unlocked device sections (injected delays included — they
@@ -231,7 +231,7 @@ class page_cache {
   bool faults_on_ = false;
   util::chaos_stream fault_stream_;  // guarded by mu_
   /// Process-wide registry counters (handles cached at construction; each
-  /// add is one metrics_on()/ts_on() branch when both consumers are off).
+  /// add is one metrics_on() branch while the data gate is off).
   /// Monotonic across *all* caches and never cleared by reset_stats() —
   /// see the reset_stats() contract above.
   obs::counter& m_hits_;

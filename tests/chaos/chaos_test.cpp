@@ -445,8 +445,8 @@ TEST(Chaos, MemAccountingBalancesUnderFaults) {
   // as peak < the bytes we know were held.  The sweep runs the full
   // 32-seed BFS fault schedule, so mailbox arenas, queue buckets, and
   // frontier words all see adversarial traffic while charging.
-  const bool saved_mem = obs::detail::any_on(obs::detail::kMemBit);
-  obs::set_mem_enabled(true);
+  const bool saved_metrics = obs::detail::any_on(obs::detail::kMetricsBit);
+  obs::set_metrics_enabled(true);
   obs::mem_clear();
 
   // Baseline per (rank, subsystem): long-lived obs rings owned by the
@@ -503,7 +503,7 @@ TEST(Chaos, MemAccountingBalancesUnderFaults) {
   EXPECT_GT(total_peak, 0u);
 
   obs::mem_clear();
-  obs::set_mem_enabled(saved_mem);
+  obs::set_metrics_enabled(saved_metrics);
 }
 
 TEST(Chaos, TrafficMatrixConservesRecordsUnderFaults) {
@@ -514,7 +514,8 @@ TEST(Chaos, TrafficMatrixConservesRecordsUnderFaults) {
   // mailbox dedup would inflate a delivered cell; a lost record would
   // deflate one.  The per-pair counts are deliberately asymmetric so a
   // transposed or misindexed row cannot cancel out.
-  obs::set_comm_matrix_enabled(true);
+  const bool saved_metrics = obs::detail::any_on(obs::detail::kMetricsBit);
+  obs::set_metrics_enabled(true);
 
   struct rec {
     std::uint64_t from, i, pad;
@@ -587,7 +588,7 @@ TEST(Chaos, TrafficMatrixConservesRecordsUnderFaults) {
         }
       });
 
-  obs::set_comm_matrix_enabled(false);
+  obs::set_metrics_enabled(saved_metrics);
 }
 
 TEST(Chaos, ScheduleDerivationIsDeterministic) {

@@ -6,32 +6,15 @@
 /// flips frontiers every level; an allocation here would put malloc on
 /// the traversal's critical path once per level per rank.
 ///
-/// Own test binary: this TU replaces global operator new/delete with
-/// counting versions (pattern from tests/mailbox/mailbox_alloc_test.cpp),
-/// and a binary can hold only one such replacement.
+/// Counts allocations with the binary's counting operator new
+/// (support/counting_new.hpp).
 #include "core/frontier.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace sfg::core {
 namespace {
@@ -71,23 +54,21 @@ TEST(FrontierAlloc, SteadyStateLevelCycleAllocatesNothing) {
     dense_cycle(r);
   }
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (std::uint64_t r = 0; r < 256; ++r) {
     level_cycle(r);
     dense_cycle(r);
   }
-  const std::uint64_t delta =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   EXPECT_EQ(delta, 0u) << "frontier level cycle allocated on the heap";
   EXPECT_GT(sink, 0u);
 }
 
 TEST(FrontierAlloc, ResizeIsTheOnlyAllocator) {
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   frontier f(1 << 12);
-  const std::uint64_t after_resize =
-      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after_resize = test::allocations();
   EXPECT_GT(after_resize, before);  // resize() is allowed to allocate
 
   std::uint64_t sink = 0;
@@ -96,8 +77,7 @@ TEST(FrontierAlloc, ResizeIsTheOnlyAllocator) {
   for (std::size_t i = 0; i < 32; ++i) f.insert(i * 7);
   f.try_sparsify();
   f.for_each([&](std::size_t i) { sink += i; });
-  const std::uint64_t delta =
-      g_allocations.load(std::memory_order_relaxed) - after_resize;
+  const std::uint64_t delta = test::allocations() - after_resize;
   EXPECT_EQ(delta, 0u) << "a frontier member other than resize() allocated";
   EXPECT_GT(sink, 0u);
 }

@@ -6,37 +6,18 @@
 ///   - the remote path allocates per *packet* (one arena re-reserve after
 ///     each move-flush, plus transport bookkeeping), never per record.
 ///
-/// This TU replaces global operator new/delete with counting versions so
-/// the claim is testable (pattern from tests/obs/metrics_test.cpp).  The
-/// replacement is linked into the whole test binary, which is fine: it
-/// only counts, behavior is unchanged.
+/// Counts allocations with the binary's counting operator new
+/// (support/counting_new.hpp).
 #include "mailbox/routed_mailbox.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <span>
 
 #include "obs/metrics.hpp"
 #include "runtime/runtime.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace sfg::mailbox {
 namespace {
@@ -67,10 +48,9 @@ TEST(MailboxAlloc, LocalDrainSteadyStateAllocatesNothing) {
   // swap, local_scratch_) to steady-state capacity.
   for (int i = 0; i < 4; ++i) round();
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 256; ++i) round();
-  const std::uint64_t delta =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   EXPECT_EQ(delta, 0u) << "self-send/drain hot path allocated on the heap";
   EXPECT_EQ(sink, static_cast<std::uint64_t>(260) * kRecordsPerRound *
@@ -103,10 +83,9 @@ TEST(MailboxAlloc, RemotePathAllocatesPerPacketNotPerRecord) {
   for (int i = 0; i < 8; ++i) round();
 
   constexpr int kRounds = 256;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < kRounds; ++i) round();
-  const std::uint64_t delta =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   // One packet per round.  Flushing moves the arena into the transport, so
   // each round legitimately re-allocates the arena once, and the transport
@@ -121,19 +100,15 @@ TEST(MailboxAlloc, RemotePathAllocatesPerPacketNotPerRecord) {
 
 // The traffic matrix must not change either claim.  Its rows are
 // preallocated at mailbox construction and the latency histogram is a
-// fixed bucket array, so with SFG_COMM_MATRIX on — even with every
-// packet latency-sampled — the steady-state budgets are the same as
-// with it off.
+// fixed bucket array, so with the data gate on (matrix live, every packet
+// latency-stamped) the steady-state budgets are the same as with it off.
 class MailboxMatrixAlloc : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::set_comm_matrix_enabled(true);
-    obs::set_comm_lat_sample(1);  // stamp every packet: worst case
-  }
-  void TearDown() override {
-    obs::set_comm_matrix_enabled(false);
-    obs::set_comm_lat_sample(1);
-  }
+  void SetUp() override { obs::set_metrics_enabled(true); }
+  void TearDown() override { obs::set_metrics_enabled(saved_); }
+
+ private:
+  const bool saved_ = obs::detail::any_on(obs::detail::kMetricsBit);
 };
 
 TEST_F(MailboxMatrixAlloc, LocalDrainStaysAllocationFree) {
@@ -153,10 +128,9 @@ TEST_F(MailboxMatrixAlloc, LocalDrainStaysAllocationFree) {
   };
   for (int i = 0; i < 4; ++i) round();
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 256; ++i) round();
-  const std::uint64_t delta =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   EXPECT_EQ(delta, 0u)
       << "traffic-matrix accounting allocated on the self-send hot path";
@@ -187,10 +161,9 @@ TEST_F(MailboxMatrixAlloc, RemotePathKeepsPerPacketBudget) {
   for (int i = 0; i < 8; ++i) round();
 
   constexpr int kRounds = 256;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < kRounds; ++i) round();
-  const std::uint64_t delta =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   // Same budget as the matrix-off remote test: matrix rows and the
   // latency histogram are preallocated, stamping reads a clock, and the

@@ -1,15 +1,24 @@
 /// Start-up environment: metrics.cpp's static initialiser applies the
-/// event-ring knobs (SFG_FLIGHT_EVENTS, SFG_SPAN_EVENTS, SFG_FLIGHT_DUMP)
-/// before main.  The ctest obs_env_applies_ring_knobs runs this suite with
-/// them set; without them it skips.
+/// SFG_* switches before main.  The ctest obs_env_applies_ring_knobs runs
+/// ObsEnv.* with the event-ring knobs (SFG_FLIGHT_EVENTS, SFG_SPAN_EVENTS,
+/// SFG_FLIGHT_DUMP) set, and obs_env_rejects_malformed_numbers runs
+/// ObsEnvMalformed.* with malformed numeric switches; without them both
+/// skip.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "obs/timeseries.hpp"
+#include "obs/trace_context.hpp"
 
 namespace sfg::obs {
 namespace {
@@ -47,6 +56,50 @@ TEST(ObsEnv, RingKnobsMatchEnvironment) {
   if (dump != nullptr) {
     EXPECT_EQ(flight_dump_path(), std::string(dump));
   }
+}
+
+/// True when `name` holds a value the strict reader rejects: not a whole
+/// decimal number, or one above `max`.
+bool malformed(const char* name, std::uint64_t max) {
+  const char* v = env_or_null(name);
+  if (v == nullptr) return false;
+  const std::string_view text(v);
+  std::uint64_t n = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), n);
+  return ec != std::errc{} || end != text.data() + text.size() || n > max;
+}
+
+TEST(ObsEnvMalformed, NumericSwitchesKeepTheirDefaults) {
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+  bool any = false;
+  if (malformed("SFG_FLIGHT_EVENTS", kMaxCount)) {
+    any = true;
+    EXPECT_TRUE(flight_on());
+    EXPECT_EQ(flight_capacity(), 1024u);
+  }
+  if (malformed("SFG_SPAN_EVENTS", kMaxCount)) {
+    any = true;
+    EXPECT_EQ(span_capacity(), 16384u);
+  }
+  if (malformed("SFG_SPANS", 1)) {
+    any = true;
+    EXPECT_FALSE(spans_on());
+  }
+  if (malformed("SFG_TRACE_SAMPLE", kMaxCount)) {
+    any = true;
+    EXPECT_EQ(trace_sample_rate(), 0u);
+  }
+  if (malformed("SFG_TS_INTERVAL_MS", kMaxCount)) {
+    any = true;
+    EXPECT_EQ(ts_interval_ms(), 0u);
+    EXPECT_FALSE(ts_on());
+  }
+  if (malformed("SFG_MEM_BUDGET", std::numeric_limits<std::uint64_t>::max())) {
+    any = true;
+    EXPECT_EQ(mem_budget(), 0u);
+  }
+  if (!any) GTEST_SKIP() << "no malformed numeric SFG_* switch set";
 }
 
 }  // namespace

@@ -5,62 +5,42 @@
 /// slot block plus the fixed pending-transition ring).  A std::function
 /// or vector sneaking into the charge path would show up here.
 ///
-/// Own binary: this TU replaces global operator new/delete with counting
-/// versions (same pattern as tests/storage/storage_alloc_test.cpp); two
-/// such TUs cannot share a binary.
+/// Counts allocations with the binary's counting operator new
+/// (support/counting_new.hpp).
 #include "obs/mem.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "obs/metrics.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace sfg::obs {
 namespace {
 
 std::uint64_t charge_phase_allocations(mem_tracker& t) {
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int round = 0; round < 4096; ++round) {
     t.set(static_cast<std::uint64_t>(round % 7) * 4096);
-    mem_charge(mem_subsystem::other, 128);
-    mem_release(mem_subsystem::other, 128);
   }
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return test::allocations() - before;
 }
 
 TEST(MemAlloc, DisabledChargePathAllocatesNothing) {
-  const bool saved = detail::any_on(detail::kMemBit);
-  set_mem_enabled(false);
+  const bool saved = detail::any_on(detail::kMetricsBit);
+  set_metrics_enabled(false);
   ASSERT_FALSE(mem_on());
   mem_tracker t(mem_subsystem::frontier);
   EXPECT_EQ(charge_phase_allocations(t), 0u)
       << "mem_tracker::set allocated with attribution off";
-  set_mem_enabled(saved);
+  set_metrics_enabled(saved);
 }
 
 TEST(MemAlloc, ArmedChargePathAllocatesNothing) {
-  const bool saved = detail::any_on(detail::kMemBit);
+  const bool saved = detail::any_on(detail::kMetricsBit);
   const std::uint64_t saved_budget = mem_budget();
-  set_mem_enabled(true);
+  set_metrics_enabled(true);
   // Tight budget so the loop crosses pressure thresholds constantly:
   // note_transition (counter bumps + pending ring) must stay on the
   // no-allocation path even while the ladder is flapping.
@@ -78,7 +58,7 @@ TEST(MemAlloc, ArmedChargePathAllocatesNothing) {
   mem_pressure_poll();
   mem_clear();
   set_mem_budget(saved_budget);
-  set_mem_enabled(saved);
+  set_metrics_enabled(saved);
 }
 
 }  // namespace

@@ -18,25 +18,26 @@
 namespace sfg::obs {
 namespace {
 
-/// Every test runs with attribution forced on, the ladder disarmed, and
-/// a zeroed ledger; teardown restores the ambient (env-derived) state.
+/// Every test runs with attribution on (through the data gate), the
+/// ladder disarmed, and a zeroed ledger; teardown restores the ambient
+/// (env-derived) state.
 class MemTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    saved_mem_ = detail::any_on(detail::kMemBit);
+    saved_metrics_ = detail::any_on(detail::kMetricsBit);
     saved_budget_ = mem_budget();
-    set_mem_enabled(true);
+    set_metrics_enabled(true);
     set_mem_budget(0);
     mem_clear();
   }
   void TearDown() override {
     mem_clear();
     set_mem_budget(saved_budget_);
-    set_mem_enabled(saved_mem_);
+    set_metrics_enabled(saved_metrics_);
   }
 
  private:
-  bool saved_mem_ = false;
+  bool saved_metrics_ = false;
   std::uint64_t saved_budget_ = 0;
 };
 
@@ -59,13 +60,24 @@ TEST_F(MemTest, TrackerChargeReleasePairing) {
 }
 
 TEST_F(MemTest, TrackerIsInertWhileGateOff) {
-  set_mem_enabled(false);
-  ASSERT_FALSE(mem_on());  // metrics/ts would re-imply it
+  set_metrics_enabled(false);
+  ASSERT_FALSE(mem_on());  // the sampler would re-imply it
   mem_tracker t(mem_subsystem::queue_buckets);
   t.set(1 << 20);
   EXPECT_EQ(t.charged(), 0u);
   EXPECT_EQ(mem_current(mem_subsystem::queue_buckets, kMe), 0u);
-  set_mem_enabled(true);
+  set_metrics_enabled(true);
+}
+
+TEST_F(MemTest, ArmedBudgetAloneTurnsAccountingOn) {
+  set_metrics_enabled(false);
+  ASSERT_FALSE(mem_on());
+  set_mem_budget(1 << 20);
+  EXPECT_TRUE(mem_on());
+  // The gate follows the budget value alone: disarming turns it off again.
+  set_mem_budget(0);
+  EXPECT_FALSE(mem_on());
+  set_metrics_enabled(true);
 }
 
 TEST_F(MemTest, TrackerReleasesBalanceAfterGateFlip) {
@@ -74,11 +86,11 @@ TEST_F(MemTest, TrackerReleasesBalanceAfterGateFlip) {
   mem_tracker t(mem_subsystem::cache_frames);
   t.set(8192);
   ASSERT_EQ(mem_current(mem_subsystem::cache_frames, kMe), 8192u);
-  set_mem_enabled(false);
+  set_metrics_enabled(false);
   t.set(0);
   EXPECT_EQ(t.charged(), 0u);
   EXPECT_EQ(mem_current(mem_subsystem::cache_frames, kMe), 0u);
-  set_mem_enabled(true);
+  set_metrics_enabled(true);
 }
 
 TEST_F(MemTest, TrackerMoveTransfersCharge) {
@@ -108,11 +120,13 @@ TEST_F(MemTest, PeakIsMonotonicAcrossReleaseAndRecharge) {
   EXPECT_EQ(mem_accounted_peak(), 10000u);
 }
 
-TEST_F(MemTest, FreeFunctionReleaseSaturatesAtZero) {
-  mem_charge(mem_subsystem::other, 100);
-  mem_release(mem_subsystem::other, 1000);  // over-release must not wrap
+TEST_F(MemTest, ReleaseAfterClearSaturatesAtZero) {
+  mem_tracker t(mem_subsystem::other);
+  t.set(1000);
+  mem_clear();  // the ledger forgets the bytes t still holds
+  t.set(100);   // the 900-byte release must not wrap
   EXPECT_EQ(mem_current(mem_subsystem::other, kMe), 0u);
-  EXPECT_EQ(mem_peak(mem_subsystem::other, kMe), 100u);
+  EXPECT_EQ(mem_accounted_current(), 0u);
 }
 
 TEST_F(MemTest, PressureLadderThresholdsAndHysteresis) {

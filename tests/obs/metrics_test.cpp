@@ -3,17 +3,12 @@
 /// disabled instrumentation site performs no allocation and no clock
 /// reads, just one predictable branch.
 ///
-/// This TU replaces global operator new/delete with counting versions so
-/// the zero-allocation claim is testable.  The replacement is linked into
-/// the whole test binary, which is fine: it only counts, behavior is
-/// unchanged.
+/// Counts allocations with the binary's counting operator new
+/// (support/counting_new.hpp).
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -23,21 +18,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace sfg::obs {
 namespace {
@@ -75,6 +56,21 @@ TEST(Metrics, CounterGatedOnToggle) {
   EXPECT_EQ(c.value(), 5u);
   c.add();  // default increment
   EXPECT_EQ(c.value(), 6u);
+}
+
+TEST(Metrics, SamplerAloneArmsTheDataGate) {
+  toggle_guard guard;
+  const std::uint32_t saved_interval = ts_interval_ms();
+  set_metrics_enabled(false);
+  set_ts_interval_ms(50);
+  EXPECT_TRUE(metrics_on());
+  EXPECT_TRUE(comm_matrix_on());
+  EXPECT_TRUE(io_hist_on());
+  EXPECT_TRUE(mem_on());
+  set_ts_interval_ms(0);
+  EXPECT_FALSE(metrics_on());
+  set_ts_interval_ms(saved_interval);
+  ts_clear();
 }
 
 TEST(Metrics, ConcurrentCounterIsExact) {
@@ -208,16 +204,15 @@ TEST(Metrics, DisabledSitesDoNotAllocate) {
   auto& t = metrics_registry::instance().get_timer("test.noalloc.t");
 
   const std::size_t events_before = trace_event_count();
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 10'000; ++i) {
     c.add(1);
     g.set(1.0);
     { scoped_timer st(t); }
     { trace_span span("noalloc", "test"); span.set_arg("i", i); }
     trace_instant("noalloc.i", "test");
-    trace_counter_event("noalloc.c", 1.0);
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
 
   EXPECT_EQ(after - before, 0u)
       << "disabled instrumentation sites must not allocate";
@@ -235,12 +230,12 @@ TEST(Metrics, FlightRecordHotPathDoesNotAllocate) {
   set_flight_enabled(true);
   flight_record(flight_kind::queue_batch, 0, 0);  // warm up: ring + TLS cache
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 10'000; ++i) {
     flight_record(flight_kind::queue_batch, static_cast<std::uint64_t>(i), 1);
     flight_record(flight_kind::mbox_packet, 4, 256);
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   EXPECT_EQ(after - before, 0u)
       << "flight_record must not allocate after the ring exists";
   set_flight_enabled(saved);
@@ -252,14 +247,14 @@ TEST(Metrics, DisabledFlightAndSamplingDoNotAllocate) {
   const bool saved_flight = flight_on();
   set_flight_enabled(false);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   trace_ctx any_ctx = 0;
   for (int i = 0; i < 10'000; ++i) {
     flight_record(flight_kind::queue_batch, 1, 2);
     // Tracing off: the sampling decision is a single branch.
     any_ctx |= sample_trace_ctx(0, static_cast<std::uint64_t>(i));
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   EXPECT_EQ(any_ctx, 0u) << "sampling must be off while tracing is off";
   EXPECT_EQ(after - before, 0u)
       << "disabled flight recorder and trace sampling must not allocate";
@@ -277,7 +272,7 @@ TEST(Metrics, DisabledPhaseAndTimeseriesDoNotAllocate) {
   set_ts_interval_ms(0);  // clears the ts toggle and any live samplers
 
   const std::uint64_t entries_before = phase_entries(phase::visit);
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 10'000; ++i) {
     { const phase_scope ps(phase::visit); }
     {
@@ -286,7 +281,7 @@ TEST(Metrics, DisabledPhaseAndTimeseriesDoNotAllocate) {
     }
     ts_poll();
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   EXPECT_EQ(after - before, 0u)
       << "disabled phase scopes and ts_poll must not allocate";
   EXPECT_EQ(phase_entries(phase::visit), entries_before)
@@ -303,13 +298,13 @@ TEST(Metrics, DisabledSpanSitesDoNotAllocate) {
   const bool saved = spans_on();
   set_spans_enabled(false);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 10'000; ++i) {
     span_record(span_kind::phase_seg, 1, 2, 3, 0);
     span_mark(span_kind::mbox_send, 1, static_cast<std::uint64_t>(i));
     { const phase_scope ps(phase::visit); }
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   EXPECT_EQ(after - before, 0u)
       << "disabled span sites must not allocate";
   EXPECT_EQ(span_recorded_here(), 0u);
@@ -329,13 +324,13 @@ TEST(Metrics, SpanRecordHotPathDoesNotAllocate) {
   span_record(span_kind::phase_seg, 1, 2);          // warm up: ring + TLS
   { const phase_scope warm(phase::visit); }         // warm up: phase TLS
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 10'000; ++i) {
     span_record(span_kind::phase_seg, 1, 2, 3, 0);
     span_mark(span_kind::mbox_recv, 0, static_cast<std::uint64_t>(i));
     { const phase_scope ps(phase::visit); }
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   EXPECT_EQ(after - before, 0u)
       << "span recording must not allocate after the ring exists";
   EXPECT_GE(span_recorded_here(), 20'000u);

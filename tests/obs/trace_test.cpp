@@ -68,17 +68,13 @@ TEST_F(trace_test, SpanEmitsCompleteEvent) {
   EXPECT_DOUBLE_EQ(ev->find("args")->find("items")->as_double(), 42.0);
 }
 
-TEST_F(trace_test, InstantAndCounterEvents) {
+TEST_F(trace_test, InstantEvents) {
   trace_instant("unit.instant", "test", "wave", 3.0);
-  trace_counter_event("unit.counter", 17.0);
 
   const json events = events_json();
   const json* inst = find_event(events, "unit.instant");
   ASSERT_NE(inst, nullptr);
   EXPECT_EQ(inst->find("ph")->as_string(), "i");
-  const json* ctr = find_event(events, "unit.counter");
-  ASSERT_NE(ctr, nullptr);
-  EXPECT_EQ(ctr->find("ph")->as_string(), "C");
 }
 
 TEST_F(trace_test, PidTracksThreadRank) {

@@ -1,41 +1,23 @@
 /// Zero-allocation tests for the page-cache hit path (DESIGN.md §12):
 /// once the working set is resident, get() on a cached page is a table
 /// lookup + pin — no heap traffic — and turning the I/O-attribution
-/// layer on (SFG_IO_HIST) must not change that.  The latency histograms
-/// are fixed bucket arrays, the reuse-distance estimator is a fixed
-/// 256-slot table, and per-frame touch counts live in the preallocated
-/// frame array, so attribution adds clock reads and stores, never
-/// allocations.
+/// layer on (the data gate, metrics_on()) must not change that.  The
+/// latency histograms are fixed bucket arrays, the reuse-distance
+/// estimator is a fixed 256-slot table, and per-frame touch counts live
+/// in the preallocated frame array, so attribution adds clock reads and
+/// stores, never allocations.
 ///
-/// Own binary: this TU replaces global operator new/delete with counting
-/// versions (same pattern as tests/mailbox/mailbox_alloc_test.cpp); two
-/// such TUs cannot share a binary.
+/// Counts allocations with the binary's counting operator new
+/// (support/counting_new.hpp).
 #include "storage/page_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "obs/metrics.hpp"
 #include "storage/block_device.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace sfg::storage {
 namespace {
@@ -51,7 +33,7 @@ std::uint64_t hit_phase_allocations(page_cache& cache) {
     auto ref = cache.get(p, sizeof(std::uint64_t));
     sink += ref.data().size();
   }
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int round = 0; round < 256; ++round) {
     for (std::size_t p = 0; p < kFrames; ++p) {
       auto ref = cache.get(p, sizeof(std::uint64_t));
@@ -59,11 +41,11 @@ std::uint64_t hit_phase_allocations(page_cache& cache) {
     }
   }
   EXPECT_GT(sink, 0u);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return test::allocations() - before;
 }
 
 TEST(StorageAlloc, HitPathAllocatesNothingWithAttributionOff) {
-  obs::set_io_hist_enabled(false);
+  obs::set_metrics_enabled(false);
   memory_device dev;
   page_cache cache(dev, {kPage, kFrames});
   EXPECT_EQ(hit_phase_allocations(cache), 0u)
@@ -71,13 +53,13 @@ TEST(StorageAlloc, HitPathAllocatesNothingWithAttributionOff) {
 }
 
 TEST(StorageAlloc, HitPathAllocatesNothingWithAttributionOn) {
-  obs::set_io_hist_enabled(true);
+  obs::set_metrics_enabled(true);
   memory_device dev;
   page_cache cache(dev, {kPage, kFrames});
   const std::uint64_t delta = hit_phase_allocations(cache);
-  obs::set_io_hist_enabled(false);
+  obs::set_metrics_enabled(false);
   EXPECT_EQ(delta, 0u)
-      << "I/O attribution (SFG_IO_HIST) allocated on the page-cache hit path";
+      << "I/O attribution allocated on the page-cache hit path";
 }
 
 }  // namespace

@@ -191,8 +191,7 @@ int usage() {
          "      [--bfs=async|topdown|bottomup|hybrid]  traversal mode:\n"
          "      async (default) is the paper's visitor queue; the others\n"
          "      are level-synchronous with an explicit frontier (hybrid\n"
-         "      switches direction on the SFG_BFS_ALPHA/SFG_BFS_BETA\n"
-         "      heuristic)\n"
+         "      switches direction on Beamer's alpha/beta heuristic)\n"
          "  kcore FILE --k K [--ranks P]\n"
          "  triangles FILE [--ranks P] [--approx SAMPLES]\n"
          "  components FILE [--ranks P]\n"

@@ -38,8 +38,8 @@
 ///             start→finish segment chain, blame fractions summing to at
 ///             most 1.0 of the measured wall and covering >= 90% of it
 ///   --mem     an sfg-metrics/1 report whose traversal entries carry
-///             sfg-mem/1 memory-attribution sections (from SFG_MEM /
-///             SFG_MEM_BUDGET): delegates to obs::mem_validate — one row
+///             sfg-mem/1 memory-attribution sections (any SFG_METRICS
+///             run): delegates to obs::mem_validate — one row
 ///             per rank with all subsystems, peak >= current everywhere,
 ///             per-row and section accounted totals summing exactly, a
 ///             positive RSS sample, and a well-formed pressure block
@@ -543,14 +543,14 @@ struct section_rule {
 
 constexpr section_rule kSections[] = {
     {"--comm-matrix", "comm_matrix", check_comm_matrix_entry,
-     "was SFG_COMM_MATRIX / SFG_METRICS set?"},
+     "was SFG_METRICS set?"},
     {"--bfs-levels", "bfs", check_bfs_entry,
      "was the traversal run with --bfs=topdown|bottomup|hybrid and "
      "SFG_METRICS set?"},
     {"--critpath", "critpath", check_by<obs::critpath_validate>,
      "was SFG_SPANS set alongside SFG_METRICS?"},
     {"--mem", "mem", check_by<obs::mem_validate>,
-     "was SFG_MEM / SFG_MEM_BUDGET set alongside SFG_METRICS?"},
+     "was SFG_METRICS set?"},
 };
 
 /// Validates `rule`'s section in every traversal that carries one;

@@ -1,8 +1,8 @@
 /// \file heat.cpp
 /// `sfg_obs heat FILE [--top N]`: terminal heat-map for data movement.
 /// FILE is an sfg-metrics/1 report whose traversal entries carry
-/// sfg-comm-matrix/1 sections (SFG_METRICS + SFG_COMM_MATRIX, as the
-/// 4-rank CI BFS produces).  Renders, for the last traversal with a
+/// sfg-comm-matrix/1 sections (any SFG_METRICS run, as the 4-rank CI BFS
+/// produces).  Renders, for the last traversal with a
 /// matrix:
 ///   - the rank x rank sent-bytes matrix as a glyph-ramp heat grid,
 ///     flagging the hottest origin->dest pair
@@ -80,7 +80,7 @@ void render_latency(const json& rows) {
   }
   if (count == 0) {
     std::printf("enqueue->deliver latency: no samples "
-                "(SFG_COMM_LAT_SAMPLE=0?)\n");
+                "(no packet was delivered while the matrix was live)\n");
     return;
   }
   // Quantiles are log2-bucket upper bounds; max over ranks is the
@@ -148,7 +148,7 @@ int run_heat(const std::string& file, std::size_t top_n) {
   const auto which = last_with(traversals, "comm_matrix");
   if (!which) {
     return fail_view(file + ": has no comm_matrix section (set "
-                            "SFG_COMM_MATRIX or SFG_METRICS)");
+                            "SFG_METRICS)");
   }
   const json& cm = *traversals.at(*which).find("comm_matrix");
   const auto grid = read_sent_grid(cm);

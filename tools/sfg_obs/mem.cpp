@@ -1,7 +1,7 @@
 /// \file mem.cpp
 /// `sfg_obs mem FILE`: terminal memory-attribution view.  FILE is an
 /// sfg-metrics/1 report whose traversal entries carry sfg-mem/1 sections
-/// (SFG_MEM / SFG_MEM_BUDGET + SFG_METRICS).  Renders, for the last
+/// (any SFG_METRICS run).  Renders, for the last
 /// traversal with a section:
 ///   - one stacked bar per rank: each charged subsystem's share of the
 ///     rank's accounted bytes, with a peak watermark ('|') where the
@@ -117,8 +117,7 @@ int run_mem(const std::string& file) {
   // Last traversal with a section: the freshest cumulative snapshot.
   const auto which = last_with(traversals, "mem");
   if (!which) {
-    return fail_view(file + ": has no mem section (set SFG_MEM or "
-                            "SFG_MEM_BUDGET alongside SFG_METRICS)");
+    return fail_view(file + ": has no mem section (set SFG_METRICS)");
   }
   const json& mem = *traversals.at(*which).find("mem");
   std::vector<std::string> errors;
