@@ -29,7 +29,9 @@
 ///   2. one all_reduce carries frontier vertex count, frontier edge
 ///      mass, and remaining unvisited edge mass — the α/β inputs;
 ///   3. scan (direction per the heuristic), claims through the routed
-///      mailbox;
+///      mailbox — except a claim for a vertex this rank masters, which
+///      is applied where it is made and counted as one record sent and
+///      delivered;
 ///   4. counting quiescence: loop [pump, flush, all_reduce(sent,
 ///      delivered, busy)] until globally sent == delivered and every
 ///      rank is idle (mailbox drained, inbox empty — delayed/duplicated
@@ -340,12 +342,19 @@ class level_sync_bfs {
     ++stats_.visitors_pushed;
     ++stats_.visitors_sent;
     const bfs_claim cl{target.bits(), parent.bits()};
-    mailbox_.send(graph_->master_rank(target), runtime::as_bytes_of(cl));
+    const int master = graph_->master_rank(target);
+    if (master == graph_->rank()) {
+      // This rank masters the target (in bottom-up levels almost every
+      // claim): apply it here, counted as one mailbox record sent and
+      // delivered, instead of framing it for a second walk in quiesce.
+      mailbox_.count_local_delivery(sizeof(cl));
+      deliver_claim(cl);
+      return;
+    }
+    mailbox_.send(master, runtime::as_bytes_of(cl));
   }
 
-  void deliver_claim(std::span<const std::byte> bytes) {
-    bfs_claim cl;
-    std::memcpy(&cl, bytes.data(), sizeof(bfs_claim));
+  void deliver_claim(const bfs_claim& cl) {
     ++stats_.visitors_delivered;
     const auto v = graph::vertex_locator::from_bits(cl.target_bits);
     assert(v.owner() == graph_->rank());  // claims go to the master only
@@ -371,7 +380,9 @@ class level_sync_bfs {
   std::uint64_t quiesce(runtime::comm& c, bool chaos_on,
                         util::chaos_stream& chaos) {
     auto deliver = [this](int /*origin*/, std::span<const std::byte> bytes) {
-      this->deliver_claim(bytes);
+      bfs_claim cl;
+      std::memcpy(&cl, bytes.data(), sizeof(bfs_claim));
+      this->deliver_claim(cl);
     };
     for (;;) {
       {
@@ -382,7 +393,6 @@ class level_sync_bfs {
         }
         runtime::message m;
         while (c.try_recv(m)) mailbox_.process_packet(m, deliver);
-        mailbox_.drain_local(deliver);
         mailbox_.tick();
         mailbox_.flush();
       }

@@ -205,10 +205,10 @@ class distributed_graph {
   bool for_each_out_edge_while(std::size_t s, Fn&& fn) const {
     if (s >= bp_.num_sources) return true;
     const obs::phase_scope pscope(obs::phase::scan);
-    for (std::size_t i = bp_.csr_offsets[s]; i < bp_.csr_offsets[s + 1]; ++i) {
-      if (!fn(vertex_locator::from_bits(store_.get(i)))) return false;
-    }
-    return true;
+    return store_.for_each_while(bp_.csr_offsets[s], bp_.csr_offsets[s + 1],
+                                 [&fn](std::uint64_t bits) {
+                                   return fn(vertex_locator::from_bits(bits));
+                                 });
   }
 
   /// Visit (target, weight) pairs of slot `s`'s local adjacency slice.

@@ -4,10 +4,11 @@
 /// The paper stores each local partition as compressed sparse row
 /// (§III-A1); in the external-memory experiments the edge array lives on
 /// NAND Flash behind the user-space page cache (§VII-C).  Both policies
-/// expose the same minimal API (random get, ranged for_each, ranged
-/// binary search), so `distributed_graph<Store>` is oblivious to where
-/// its edges live — exactly the property that let the paper run the same
-/// algorithm DRAM-only and at 32x DRAM size.
+/// expose the same minimal API (a ranged walk that can stop early, the
+/// ranged for_each built on it, ranged binary search), so
+/// `distributed_graph<Store>` is oblivious to where its edges live —
+/// exactly the property that let the paper run the same algorithm
+/// DRAM-only and at 32x DRAM size.
 #pragma once
 
 #include <algorithm>
@@ -28,11 +29,22 @@ class in_memory_edges {
 
   [[nodiscard]] std::size_t size() const noexcept { return bits_.size(); }
 
-  [[nodiscard]] std::uint64_t get(std::size_t i) const { return bits_[i]; }
+  /// Apply `fn(bits)` to [begin, end) in order until it returns false.
+  /// Returns true iff the whole range was visited.
+  template <typename Fn>
+  bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) const {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!fn(bits_[i])) return false;
+    }
+    return true;
+  }
 
   template <typename Fn>
   void for_each(std::size_t begin, std::size_t end, Fn&& fn) const {
-    for (std::size_t i = begin; i < end; ++i) fn(bits_[i]);
+    for_each_while(begin, end, [&fn](std::uint64_t v) {
+      fn(v);
+      return true;
+    });
   }
 
   /// True if `key` occurs in the *sorted* range [begin, end).
@@ -58,12 +70,20 @@ class external_edges {
 
   [[nodiscard]] std::size_t size() const noexcept { return arr_.size(); }
 
-  [[nodiscard]] std::uint64_t get(std::size_t i) const { return arr_[i]; }
+  /// The same walk with a cursor bounded by the range: one page-cache
+  /// pin per page touched, not one per edge.
+  template <typename Fn>
+  bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) const {
+    return arr_.for_each_while(
+        begin, end, [&fn](std::size_t, std::uint64_t v) { return fn(v); });
+  }
 
   template <typename Fn>
   void for_each(std::size_t begin, std::size_t end, Fn&& fn) const {
-    arr_.for_each(begin, end,
-                  [&fn](std::size_t, std::uint64_t v) { fn(v); });
+    for_each_while(begin, end, [&fn](std::uint64_t v) {
+      fn(v);
+      return true;
+    });
   }
 
   [[nodiscard]] bool contains_in_range(std::size_t begin, std::size_t end,

@@ -102,6 +102,23 @@ class routed_mailbox {
   void send(int final_dest, std::span<const std::byte> record,
             obs::trace_ctx ctx = 0);
 
+  /// Count one record of `bytes` payload that the caller addressed to this
+  /// rank and applied where it was made instead of send()ing it: sent and
+  /// delivered at once, plus the traffic matrix's self cell under the data
+  /// gate.  Quiescence sums (sent == delivered), the matrix conservation
+  /// law and per-level record deltas keep their meaning.
+  void count_local_delivery(std::size_t bytes) noexcept {
+    ++stats_.records_sent;
+    ++stats_.records_delivered;
+    if (obs::metrics_on()) {
+      const auto self = static_cast<std::size_t>(comm_->rank());
+      matrix_.sent_records[self] += 1;
+      matrix_.sent_bytes[self] += bytes;
+      matrix_.delivered_records[self] += 1;
+      matrix_.delivered_bytes[self] += bytes;
+    }
+  }
+
   /// Feed one packet received from the comm (message.tag must equal
   /// config::tag).  Records addressed to this rank are handed to `deliver`;
   /// records in transit are re-buffered toward their next hop.  Returns

@@ -91,13 +91,16 @@ void phase_exit() noexcept;
 }  // namespace detail
 
 /// RAII self-time scope.  Safe to nest; disabled cost is the phase_on()
-/// branch only.
+/// branch only.  Both halves are forced inline: the scope sits on
+/// per-record paths (routed_mailbox::route_record), and in a large
+/// translation unit GCC's inliner otherwise may emit the constructor out
+/// of line, turning that branch into a call per record.
 class phase_scope {
  public:
-  explicit phase_scope(phase p) noexcept {
+  [[gnu::always_inline]] explicit phase_scope(phase p) noexcept {
     if (phase_on()) armed_ = detail::phase_enter(p);
   }
-  ~phase_scope() {
+  [[gnu::always_inline]] ~phase_scope() {
     if (armed_) detail::phase_exit();
   }
   phase_scope(const phase_scope&) = delete;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -34,11 +35,14 @@ memory_device::memory_device(std::uint64_t initial_size)
 
 void memory_device::read(std::uint64_t offset, std::span<std::byte> out) {
   const std::scoped_lock lock(mu_);
-  // Reads past the end return zero bytes, matching a sparse file.
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint64_t pos = offset + i;
-    out[i] = pos < data_.size() ? data_[pos] : std::byte{0};
-  }
+  // One clamped copy; bytes past the end read as zero, like a sparse file.
+  const std::size_t n =
+      offset < data_.size()
+          ? static_cast<std::size_t>(
+                std::min<std::uint64_t>(out.size(), data_.size() - offset))
+          : 0;
+  if (n != 0) std::memcpy(out.data(), data_.data() + offset, n);
+  if (n < out.size()) std::memset(out.data() + n, 0, out.size() - n);
 }
 
 void memory_device::write(std::uint64_t offset,

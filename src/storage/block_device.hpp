@@ -43,6 +43,11 @@ class block_device {
   virtual ~block_device() = default;
 
   /// Read `out.size()` bytes starting at `offset`.  Thread-safe.
+  ///
+  /// Contract: the device writes every byte of `out` — its own bytes up
+  /// to size_bytes(), zeros past it (a sparse-file read) — so `out` may
+  /// hold anything on entry.  The page cache's miss fill relies on this:
+  /// it reuses a frame without clearing it first.
   virtual void read(std::uint64_t offset, std::span<std::byte> out) = 0;
 
   /// Write `data` starting at `offset`, growing the device if needed.

@@ -312,7 +312,11 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     f.referenced = true;
     f.dirty = false;
     ++f.touches;
-    f.data.assign(cfg_.page_size, std::byte{0});
+    // The device writes every byte of the frame (block_device::read's
+    // contract), so a reused frame is not cleared first: the page is
+    // copied exactly once.  Only a frame's first fill, or its first after
+    // a pressure shrink freed it, sizes the buffer.
+    f.data.resize(cfg_.page_size);
     sync_frame_mem_locked(f);
     page_to_frame_[page_id] = v;
     ++stats_.misses;

@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <type_traits>
 
@@ -48,64 +49,82 @@ class paged_array {
     return out;
   }
 
-  /// Sequential cursor: pins each page once for all its elements.
+  /// Sequential cursor over [index, end): pins each page once for all its
+  /// elements in the range.
   class cursor {
    public:
-    cursor(const paged_array& arr, std::size_t index)
-        : arr_(&arr), index_(index) {}
+    cursor(const paged_array& arr, std::size_t index, std::size_t end)
+        : arr_(&arr), index_(index), end_(std::min(end, arr.count_)) {}
 
-    [[nodiscard]] bool done() const noexcept { return index_ >= arr_->count_; }
+    [[nodiscard]] bool done() const noexcept { return index_ >= end_; }
     [[nodiscard]] std::size_t index() const noexcept { return index_; }
 
     /// Current element.  Faults/pins the containing page on first touch.
     T value() {
-      ensure_page();
+      if (bytes_ == nullptr) pin_page();
       T out;
-      std::memcpy(&out, page_.data().data() + in_page_, sizeof(T));
+      std::memcpy(&out, bytes_ + in_page_, sizeof(T));
       return out;
     }
 
     void advance() {
       ++index_;
       in_page_ += sizeof(T);
-      if (in_page_ >= arr_->cache_->page_size()) page_ = {};  // next page
+      if (in_page_ >= arr_->cache_->page_size()) {  // next page
+        page_ = {};
+        bytes_ = nullptr;
+      }
     }
 
    private:
-    void ensure_page() {
-      if (page_.valid()) return;
+    void pin_page() {
       const std::uint64_t byte_off = arr_->base_ + index_ * sizeof(T);
       const std::uint64_t page = byte_off / arr_->cache_->page_size();
       in_page_ = byte_off % arr_->cache_->page_size();
-      // A scan consumes the rest of this page (bounded by the elements
-      // left), so charge that span — sequential reads then show
+      // A scan consumes the rest of this page, bounded by the rest of its
+      // range, so charge that span — sequential reads then show
       // amplification near 1 while random probes show page_size/sizeof(T).
       const std::size_t left_in_page =
           arr_->cache_->page_size() - in_page_;
-      const std::size_t left_in_array =
-          (arr_->count_ - index_) * sizeof(T);
-      page_ = arr_->cache_->get(page, std::min(left_in_page, left_in_array));
+      const std::size_t left_in_range = (end_ - index_) * sizeof(T);
+      page_ = arr_->cache_->get(page, std::min(left_in_page, left_in_range));
+      bytes_ = page_.data().data();
     }
 
     const paged_array* arr_;
     std::size_t index_;
+    std::size_t end_;
     std::size_t in_page_ = 0;
     page_cache::page_ref page_;
+    const std::byte* bytes_ = nullptr;  ///< page_'s bytes while pinned
   };
 
-  [[nodiscard]] cursor scan(std::size_t begin = 0) const {
-    return cursor(*this, begin);
+  /// A cursor over [begin, end), `end` clamped to size().
+  [[nodiscard]] cursor scan(
+      std::size_t begin = 0,
+      std::size_t end = std::numeric_limits<std::size_t>::max()) const {
+    return cursor(*this, begin, end);
+  }
+
+  /// Apply `fn(index, value)` to elements [begin, end) in order until it
+  /// returns false; one pin per page touched.  Returns true iff every
+  /// element was visited.
+  template <typename Fn>
+  bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) const {
+    assert(begin <= end && end <= count_);
+    for (auto cur = scan(begin, end); !cur.done(); cur.advance()) {
+      if (!fn(cur.index(), cur.value())) return false;
+    }
+    return true;
   }
 
   /// Apply `fn(index, value)` to elements [begin, end), page-batched.
   template <typename Fn>
   void for_each(std::size_t begin, std::size_t end, Fn&& fn) const {
-    assert(end <= count_);
-    auto cur = scan(begin);
-    while (cur.index() < end) {
-      fn(cur.index(), cur.value());
-      cur.advance();
-    }
+    for_each_while(begin, end, [&fn](std::size_t i, T v) {
+      fn(i, v);
+      return true;
+    });
   }
 
  private:

@@ -38,9 +38,11 @@ TEST(MemoryDevice, RoundTrip) {
 
 TEST(MemoryDevice, ReadPastEndIsZero) {
   memory_device dev;
-  dev.write(0, pattern_bytes(16, 1));
+  const auto data = pattern_bytes(16, 1);
+  dev.write(0, data);
   std::vector<std::byte> out(32);
   dev.read(8, out);
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], data[8 + i]);
   for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(out[i], std::byte{0});
 }
 

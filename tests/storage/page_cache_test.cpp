@@ -213,6 +213,35 @@ TEST(PageCache, AllFramesPinnedBlocksUntilUnpin) {
   }
 }
 
+// The miss fill reuses a frame without clearing it, relying on the device
+// to write every byte.  A frame that held a full page of non-zero bytes,
+// refilled with the device's last, partial page, must read zeros past the
+// device end — not the previous page's tail.
+TEST(PageCache, ReusedFrameReadsZerosPastDeviceEnd) {
+  memory_device dev;
+  constexpr std::size_t kTail = kPage / 4;  // bytes of the last page
+  std::vector<std::byte> content(2 * kPage + kTail);
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<std::byte>(0x80 | (i & 0x7f));  // never zero
+  }
+  dev.write(0, content);
+  page_cache cache(dev, {kPage, 1});  // one frame: every miss reuses it
+  {
+    const auto ref = cache.get(0);
+    for (const auto b : ref.data()) ASSERT_NE(b, std::byte{0});
+  }
+  const auto ref = cache.get(2);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  const auto data = ref.data();
+  ASSERT_EQ(data.size(), kPage);
+  for (std::size_t i = 0; i < kTail; ++i) {
+    ASSERT_EQ(data[i], content[2 * kPage + i]) << i;
+  }
+  for (std::size_t i = kTail; i < kPage; ++i) {
+    ASSERT_EQ(data[i], std::byte{0}) << i;
+  }
+}
+
 TEST(PageCache, RejectsZeroConfig) {
   memory_device dev;
   EXPECT_THROW(page_cache(dev, {0, 4}), std::invalid_argument);

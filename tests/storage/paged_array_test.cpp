@@ -94,6 +94,60 @@ TEST(PagedArray, CursorCrossesPageBoundaries) {
   EXPECT_EQ(i, 40u);
 }
 
+// A range walk declares only the bytes of its own range as demand, even
+// when the range ends mid-page; read amplification is dev_bytes_read over
+// this, so charging the rest of the page would understate it.
+TEST(PagedArray, RangeWalkChargesOnlyItsSpan) {
+  memory_device dev;
+  const auto values = make_values(64);
+  write_array<std::uint64_t>(dev, 0, values);
+  page_cache cache(dev, {kPage, 4});
+  paged_array<std::uint64_t> arr(cache, 0, 64);
+
+  std::uint64_t before = cache.stats().bytes_requested;
+  arr.for_each(2, 5, [](std::size_t, std::uint64_t) {});  // inside page 0
+  EXPECT_EQ(cache.stats().bytes_requested - before, 3 * sizeof(std::uint64_t));
+
+  before = cache.stats().bytes_requested;
+  arr.for_each(10, 30, [](std::size_t, std::uint64_t) {});  // pages 0 and 1
+  EXPECT_EQ(cache.stats().bytes_requested - before,
+            20 * sizeof(std::uint64_t));
+}
+
+TEST(PagedArray, ForEachWhileVisitsRangeInOrder) {
+  memory_device dev;
+  const auto values = make_values(50);  // 3+ pages
+  write_array<std::uint64_t>(dev, 0, values);
+  page_cache cache(dev, {kPage, 4});
+  paged_array<std::uint64_t> arr(cache, 0, values.size());
+  std::vector<std::size_t> seen;
+  EXPECT_TRUE(arr.for_each_while(5, 45, [&](std::size_t i, std::uint64_t v) {
+    EXPECT_EQ(v, values[i]);
+    seen.push_back(i);
+    return true;
+  }));
+  ASSERT_EQ(seen.size(), 40u);
+  for (std::size_t k = 0; k < seen.size(); ++k) EXPECT_EQ(seen[k], 5 + k);
+  // Pages 0..2 were each pinned once.
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 3u);
+  EXPECT_TRUE(arr.for_each_while(7, 7, [](std::size_t, std::uint64_t) {
+    return false;
+  }));
+
+  // A walk that stops early has still declared its range in the page it
+  // pinned, and pinned only that page.
+  const std::uint64_t requested_before = cache.stats().bytes_requested;
+  const std::uint64_t gets_before = cache.stats().hits + cache.stats().misses;
+  std::size_t visited = 0;
+  EXPECT_FALSE(arr.for_each_while(33, 40, [&](std::size_t, std::uint64_t) {
+    return ++visited < 3;
+  }));
+  EXPECT_EQ(visited, 3u);
+  EXPECT_EQ(cache.stats().bytes_requested - requested_before,
+            7 * sizeof(std::uint64_t));
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses - gets_before, 1u);
+}
+
 TEST(PagedArray, EmptyArray) {
   memory_device dev;
   page_cache cache(dev, {kPage, 2});
