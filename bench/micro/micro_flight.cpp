@@ -1,14 +1,12 @@
 /// \file micro_flight.cpp
-/// Flight-recorder and trace-sampling gate microbenches: the recorder is
-/// ON by default in production, so its steady-state record cost is a
-/// first-class hot-path number; the disabled paths (recorder off, trace
-/// sampling with tracing off) must collapse to a single predictable
+/// Flight-recorder microbenches: the recorder is ON by default in
+/// production, so its steady-state record cost is a first-class hot-path
+/// number; the disabled path must collapse to a single predictable
 /// branch.  Batches of 64 events match the other micro suites.
 #include <cstdint>
 
 #include "micro_harness.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace_context.hpp"
 
 namespace {
 
@@ -48,32 +46,13 @@ void bench_record_off(micro::suite& s) {
   });
 }
 
-/// The sampling decision with tracing off — the cost every visitor push
-/// pays when causal tracing is not in use.  Must be branch-cheap.
-void bench_sample_gate_off(micro::suite& s) {
-  s.run("flight/sample_gate/trace_off", kBatch, [](std::uint64_t iters) {
-    obs::set_trace_enabled(false);
-    obs::set_trace_sample_rate(8);
-    std::uint64_t sink = 0;
-    for (std::uint64_t it = 0; it < iters; ++it) {
-      for (int i = 0; i < kBatch; ++i) {
-        sink |= obs::sample_trace_ctx(0, it + static_cast<std::uint64_t>(i));
-      }
-    }
-    obs::set_trace_sample_rate(0);
-    micro::keep(sink);
-  });
-}
-
 }  // namespace
 
 int main() {
   micro::suite s("micro_flight",
                  "flight recorder record cost (enabled steady state and "
-                 "disabled gate) and the trace-sampling decision with "
-                 "tracing off (batches of 64)");
+                 "disabled gate, batches of 64)");
   bench_record_on(s);
   bench_record_off(s);
-  bench_sample_gate_off(s);
   return 0;
 }

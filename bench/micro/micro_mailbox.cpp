@@ -13,7 +13,6 @@
 
 #include "mailbox/routed_mailbox.hpp"
 #include "micro_harness.hpp"
-#include "obs/trace_context.hpp"
 #include "runtime/comm.hpp"
 #include "util/rng.hpp"
 
@@ -54,40 +53,6 @@ void bench_route_flush_direct(micro::suite& s) {
     }
     micro::keep(sink);
   });
-}
-
-/// As route_flush/direct, but 1-in-8 records carry an 8-byte trace
-/// context (the SFG_TRACE_SAMPLE wire cost): measures the framing price
-/// of causal sampling, separate from the trace-event cost (tracing stays
-/// off, so contexts ride the wire but emit nothing).
-void bench_route_flush_sampled(micro::suite& s) {
-  s.run("mailbox/route_flush/direct/sampled8", kBatch,
-        [](std::uint64_t iters) {
-          runtime::world w(2);
-          auto& c0 = w.rank_comm(0);
-          auto& c1 = w.rank_comm(1);
-          mailbox::routed_mailbox m0(c0, {mailbox::topology::direct, 1 << 16,
-                                          kMailTag});
-          mailbox::routed_mailbox m1(c1, {mailbox::topology::direct, 1 << 16,
-                                          kMailTag});
-          record24 r{1, 2, 3};
-          std::uint64_t sink = 0;
-          for (std::uint64_t it = 0; it < iters; ++it) {
-            for (int i = 0; i < kBatch; ++i) {
-              r.a = it + static_cast<std::uint64_t>(i);
-              const obs::trace_ctx ctx =
-                  (i % 8 == 0) ? obs::make_trace_ctx(0, r.a) : 0;
-              m0.send(1, runtime::as_bytes_of(r), ctx);
-            }
-            m0.flush();
-            runtime::message msg;
-            while (c1.try_recv(msg)) {
-              sink += m1.process_packet(msg,
-                                        [](int, std::span<const std::byte>) {});
-            }
-          }
-          micro::keep(sink);
-        });
 }
 
 /// 16 ranks on a 4x4 grid: rank 0 scatters a batch over all remote
@@ -189,7 +154,6 @@ int main() {
                  "record serialization round-trip (24-byte records, "
                  "batches of 64)");
   bench_route_flush_direct(s);
-  bench_route_flush_sampled(s);
   bench_route_flush_grid(s);
   bench_self_drain(s);
   bench_serialize_roundtrip(s);

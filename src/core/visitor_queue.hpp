@@ -34,8 +34,6 @@
 #include "mailbox/routed_mailbox.hpp"
 #include "obs/phase.hpp"
 #include "obs/stats_fields.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_context.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/termination.hpp"
 #include "util/rng.hpp"
@@ -90,22 +88,8 @@ class visitor_queue {
 
   /// Paper Algorithm 1, PUSH: filter through a local ghost if present,
   /// else (or on ghost pass) send toward the master partition.
-  ///
-  /// Causal sampling (trace_context.hpp): 1-in-SFG_TRACE_SAMPLE pushes get
-  /// a trace_ctx that rides with the visitor's record through every
-  /// mailbox hop and replica forward; the flow opens here ('s') and closes
-  /// ('f') at exactly one downstream terminal — ghost suppression here,
-  /// pre_visit rejection, or acceptance at the end of the owner chain — so
-  /// Chrome/Perfetto draws the full cross-rank chain as one arrow path.
   void push(const Visitor& v) {
     ++stats_.visitors_pushed;
-    const obs::trace_ctx ctx =
-        obs::sample_trace_ctx(graph_->rank(), v.vertex.bits());
-    if (ctx != 0) {
-      obs::trace_flow_begin("visitor.push", obs::ctx_flow_id(ctx),
-                            "visitor_flow", "dest",
-                            static_cast<double>(graph_->master_rank(v.vertex)));
-    }
     if constexpr (Visitor::uses_ghosts) {
       const auto ghost =
           cfg_.use_ghosts ? graph_->ghost_slot_of(v.vertex) : std::nullopt;
@@ -113,15 +97,12 @@ class visitor_queue {
         Visitor copy = v;
         if (!copy.pre_visit(state_->ghost(*ghost))) {
           ++stats_.ghost_filtered;
-          if (ctx != 0) {
-            obs::trace_flow_end("visitor.ghost_filtered", obs::ctx_flow_id(ctx));
-          }
           return;
         }
       }
     }
     ++stats_.visitors_sent;
-    mailbox_.send(graph_->master_rank(v.vertex), runtime::as_bytes_of(v), ctx);
+    mailbox_.send(graph_->master_rank(v.vertex), runtime::as_bytes_of(v));
   }
 
   /// Paper Algorithm 1, DO_TRAVERSAL: run to global quiescence.
@@ -134,13 +115,10 @@ class visitor_queue {
     util::chaos_stream chaos(cfg_.faults.seed,
                              0x51A11u ^ static_cast<std::uint64_t>(
                                             graph_->rank()));
-    // Ctx-aware delivery: the third parameter is the sampled causal
-    // context carried by the record (0 for the unsampled majority).
-    auto deliver = [this](int /*origin*/, std::span<const std::byte> bytes,
-                          obs::trace_ctx ctx) {
+    auto deliver = [this](int /*origin*/, std::span<const std::byte> bytes) {
       Visitor v;
       std::memcpy(&v, bytes.data(), sizeof(Visitor));
-      this->check_mailbox_visitor(v, ctx);
+      this->check_mailbox_visitor(v);
     };
 
     // Phase attribution (obs/phase.hpp): everything inside the poll loop
@@ -237,13 +215,7 @@ class visitor_queue {
   /// Paper Algorithm 1, CHECK_MAILBOX body for one arriving visitor:
   /// pre_visit the real state; on success queue locally and forward to
   /// the next replica in the vertex's owner chain.
-  ///
-  /// Flow bookkeeping for a sampled visitor (ctx != 0): the record chain
-  /// ends here with exactly one 'f' — pre_visit rejection, or acceptance
-  /// at the last rank of the owner chain.  An acceptance that forwards
-  /// emits a 't' and passes the (hop-bumped) ctx to the forwarded record,
-  /// keeping the chain linear: every sampled push terminates exactly once.
-  void check_mailbox_visitor(Visitor v, obs::trace_ctx ctx = 0) {
+  void check_mailbox_visitor(Visitor v) {
     ++stats_.visitors_delivered;
     const auto slot = graph_->slot_of(v.vertex);
     // A visitor can only arrive at ranks in the owner chain.
@@ -253,24 +225,10 @@ class visitor_queue {
       const int next = graph_->next_owner_after(v.vertex, graph_->rank());
       if (next >= 0) {
         ++stats_.visitors_sent;
-        if (ctx != 0) {
-          ctx = obs::ctx_bump_hop(ctx);
-          obs::trace_flow_step("visitor.pre_visit", obs::ctx_flow_id(ctx),
-                               "visitor_flow", "next",
-                               static_cast<double>(next));
-        }
-        mailbox_.send(next, runtime::as_bytes_of(v), ctx);
-      } else if (ctx != 0) {
-        obs::trace_flow_end("visitor.queued", obs::ctx_flow_id(ctx),
-                            "visitor_flow", "hops",
-                            static_cast<double>(obs::ctx_hops(ctx)));
+        mailbox_.send(next, runtime::as_bytes_of(v));
       }
     } else {
       ++stats_.pre_visit_rejected;
-      if (ctx != 0) {
-        obs::trace_flow_end("visitor.pre_visit_rejected",
-                            obs::ctx_flow_id(ctx));
-      }
     }
   }
 

@@ -8,6 +8,7 @@
 #include "obs/phase.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 
 namespace sfg::mailbox {
 
@@ -17,7 +18,8 @@ routed_mailbox::routed_mailbox(runtime::comm& c, config cfg)
       router_(cfg.topo, c.size()),
       channels_(static_cast<std::size_t>(c.size())),
       next_packet_seq_(static_cast<std::size_t>(c.size()), 0),
-      seen_packet_seq_(static_cast<std::size_t>(c.size())) {
+      seen_packet_seq_(static_cast<std::size_t>(c.size())),
+      flow_salt_(util::splitmix64(c.next_context_id())) {
   assert(c.size() <= 0xffff);  // record_header packs ranks into 16 bits
   if (cfg_.min_aggregation_bytes > cfg_.aggregation_bytes) {
     cfg_.min_aggregation_bytes = cfg_.aggregation_bytes;
@@ -89,9 +91,14 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   std::memcpy(ch.buf.data(), &ph, sizeof(ph));
   // Critical-path edge, sender half: the receiver records the matching
   // mbox_recv with the same (sender, seq) key, which is exact — seqs are
-  // assigned per (sender, next-hop) pair, so no sampling is involved.
+  // assigned per (sender, next-hop) pair.  The packet's trace flow starts
+  // inside this flush's slice and ends where the receiver delivers it.
   obs::span_mark(obs::span_kind::mbox_send,
                  static_cast<std::uint64_t>(next_hop), ph.seq);
+  if (obs::trace_on()) {
+    obs::trace_flow('s', "mailbox.packet", "mailbox",
+                    packet_flow_id(comm_->rank(), next_hop, ph.seq));
+  }
   ch.open_ts_us = 0;
   ++stats_.packets_sent;
   stats_.packet_bytes_sent += ch.buf.size();
@@ -203,15 +210,9 @@ bool routed_mailbox::validate_packet(std::span<const std::byte> payload) const {
     record_header hdr;
     std::memcpy(&hdr, data + off, sizeof(hdr));
     off += sizeof(hdr);
-    if ((hdr.size & kCtxFlag) != 0) {
-      // Sampled record: an 8-byte trace_ctx precedes the payload.
-      if (total - off < sizeof(obs::trace_ctx)) return false;
-      off += sizeof(obs::trace_ctx);
-    }
-    const std::uint32_t rec_size = hdr.size & kRecSizeMask;
-    if (rec_size > total - off) return false;
+    if (hdr.size > total - off) return false;
     if (hdr.final_dest >= num_ranks) return false;
-    off += rec_size;
+    off += hdr.size;
   }
   return true;
 }
@@ -247,9 +248,8 @@ void routed_mailbox::note_duplicate_packet(int source, std::uint64_t seq,
       record_header hdr;
       std::memcpy(&hdr, data + off, sizeof(hdr));
       off += sizeof(hdr);
-      if ((hdr.size & kCtxFlag) != 0) off += sizeof(obs::trace_ctx);
       if (hdr.final_dest == self) matrix_.dup_records[hdr.origin] += 1;
-      off += hdr.size & kRecSizeMask;
+      off += hdr.size;
     }
   }
   obs::trace_instant("mailbox.dup_drop", "mailbox", "seq",

@@ -25,7 +25,10 @@
 /// mailbox exactly-once record semantics over an at-least-once transport —
 /// required for the fault-injection layer (runtime/fault.hpp), which may
 /// duplicate messages in flight, and for the exact-count algorithms
-/// (k-core) that cannot tolerate replays.
+/// (k-core) that cannot tolerate replays.  The same (sender, receiver,
+/// seq) key is the packet's causal identity: the critical-path spans
+/// match on it, and with tracing on each packet is one Chrome-trace flow
+/// arrow, from the sender's flush to the receiver's delivery.
 ///
 /// Flushing is adaptive: a channel flushes when it reaches its effective
 /// size watermark, or when tick() finds it older than `max_age_ticks`.
@@ -40,7 +43,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -53,7 +55,7 @@
 #include "obs/phase.hpp"
 #include "obs/span.hpp"
 #include "obs/stats_fields.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/trace.hpp"
 #include "runtime/comm.hpp"
 
 namespace sfg::mailbox {
@@ -75,32 +77,21 @@ class routed_mailbox {
     std::size_t min_aggregation_bytes = 1 << 9;
   };
 
-  /// Delivery callbacks are called once per delivered record:
-  /// (origin_rank, record_bytes).  The span aliases the mailbox's internal
+  /// Delivery callbacks are called once per delivered record as
+  /// f(origin_rank, record_bytes).  The span aliases the mailbox's internal
   /// arena / the packet payload and is only valid for the duration of the
   /// call.  process_packet/drain_local are templated on the callable so a
   /// caller's lambda inlines into the record walk — an std::function here
   /// costs an indirect call per record on the hottest path in the system.
-  /// This alias remains for callers that want to store a type-erased one.
-  using delivery_handler =
-      std::function<void(int origin, std::span<const std::byte>)>;
-
   routed_mailbox(runtime::comm& c, config cfg);
 
   /// Queue one record for delivery to `final_dest` (may be this rank).
   /// Buffered until the channel fills or flush()/tick() pushes it out.
   /// Defined inline below: a record is framed by one resize of its arena
   /// (which reallocates only when the capacity runs out) and memcpys of
-  /// the header, ctx and payload into the new tail.  Visitors send
-  /// fixed-size records, so inlined, the payload copy has a constant size.
-  ///
-  /// `ctx` is the optional sampled causal context (trace_context.hpp).  The
-  /// common case (ctx == 0) adds nothing to the wire; a sampled record is
-  /// framed with the ctx-flag bit in its size field and 8 extra bytes, and
-  /// the ctx rides with the record through every routing hop and replica
-  /// forward until delivery, where ctx-aware handlers receive it.
-  void send(int final_dest, std::span<const std::byte> record,
-            obs::trace_ctx ctx = 0);
+  /// the header and payload into the new tail.  Visitors send fixed-size
+  /// records, so inlined, the payload copy has a constant size.
+  void send(int final_dest, std::span<const std::byte> record);
 
   /// Count one record of `bytes` payload that the caller addressed to this
   /// rank and applied where it was made instead of send()ing it: sent and
@@ -221,31 +212,35 @@ class routed_mailbox {
 
   /// Compact per-record framing: ranks fit 16 bits by construction
   /// (vertex_locator reserves exactly 16 owner bits), so the header is 8
-  /// bytes instead of the 12 a naive int triple would take.  The top bit of
-  /// `size` flags a sampled record: an 8-byte obs::trace_ctx follows the
-  /// header before the payload.  Unsampled records (the overwhelming
-  /// majority even with SFG_TRACE_SAMPLE on) keep the exact PR 3 framing.
+  /// bytes instead of the 12 a naive int triple would take.  The payload
+  /// follows the header directly; `size` is its length in bytes.
   struct record_header {
     std::uint16_t final_dest;
     std::uint16_t origin;
     std::uint32_t size;
   };
   static_assert(sizeof(record_header) == 8);
-  static constexpr std::uint32_t kCtxFlag = 0x8000'0000u;
-  static constexpr std::uint32_t kRecSizeMask = 0x7fff'ffffu;
 
-  /// Write one frame (header, the ctx if sampled, payload) at `out`, the
-  /// tail an arena has just been grown by.
+  /// Write one frame (header, payload) at `out`, the tail an arena has
+  /// just been grown by.
   static void write_frame(std::byte* out, const record_header& hdr,
-                          obs::trace_ctx ctx,
                           std::span<const std::byte> record) noexcept {
     std::memcpy(out, &hdr, sizeof(hdr));
-    out += sizeof(hdr);
-    if (ctx != 0) {
-      std::memcpy(out, &ctx, sizeof(ctx));
-      out += sizeof(ctx);
+    if (!record.empty()) {
+      std::memcpy(out + sizeof(hdr), record.data(), record.size());
     }
-    if (!record.empty()) std::memcpy(out, record.data(), record.size());
+  }
+
+  /// Chrome-trace flow id of one packet: the (sender, receiver, seq) key
+  /// the mailbox stamps on it, packed exactly for ranks below 2^16 and a
+  /// channel's first 2^32 packets, then XORed with this mailbox
+  /// generation's salt so two traversals' packets never share an id.  The
+  /// sender's flush and the receiver's delivery compute the same id.
+  [[nodiscard]] std::uint64_t packet_flow_id(int sender, int receiver,
+                                             std::uint64_t seq) const noexcept {
+    return flow_salt_ ^ (static_cast<std::uint64_t>(sender) << 48 |
+                         static_cast<std::uint64_t>(receiver) << 32 |
+                         (seq & 0xffff'ffffu));
   }
 
   enum class flush_reason { size, age, manual };
@@ -270,22 +265,8 @@ class routed_mailbox {
 
   /// Append a record to the buffer for its next hop (or local arena).
   void route_record(std::uint16_t origin, int final_dest,
-                    std::span<const std::byte> record, obs::trace_ctx ctx);
+                    std::span<const std::byte> record);
   void flush_channel(int next_hop, flush_reason why);
-
-  /// Invoke a delivery callable with or without the trace context,
-  /// whichever arity it accepts — existing 2-arg handlers keep compiling
-  /// and pay nothing; ctx-aware handlers opt in with a third parameter.
-  template <typename F>
-  static void deliver_record(F& f, int origin, std::span<const std::byte> rec,
-                             obs::trace_ctx ctx) {
-    if constexpr (std::is_invocable_v<F&, int, std::span<const std::byte>,
-                                      obs::trace_ctx>) {
-      f(origin, rec, ctx);
-    } else {
-      f(origin, rec);
-    }
-  }
 
   /// Walk a packet payload checking that every record fits; true iff the
   /// packet is structurally sound end to end.
@@ -321,6 +302,9 @@ class routed_mailbox {
   std::vector<std::uint64_t> next_packet_seq_;
   /// Exact sliding-window dedup of consumed packet sequences, per source.
   std::vector<seq_window> seen_packet_seq_;
+  /// packet_flow_id's salt, from the context id this mailbox shares with
+  /// its peers on the other ranks (runtime::comm::next_context_id).
+  std::uint64_t flow_salt_;
   mailbox_stats stats_;
   /// Per-pair traffic rows (preallocated; updated under metrics_on()).
   traffic_matrix matrix_;
@@ -352,31 +336,25 @@ class routed_mailbox {
 };
 
 inline void routed_mailbox::send(int final_dest,
-                                 std::span<const std::byte> record,
-                                 obs::trace_ctx ctx) {
+                                 std::span<const std::byte> record) {
   ++stats_.records_sent;
   if (obs::metrics_on()) {
     matrix_.sent_records[static_cast<std::size_t>(final_dest)] += 1;
     matrix_.sent_bytes[static_cast<std::size_t>(final_dest)] += record.size();
   }
-  route_record(static_cast<std::uint16_t>(comm_->rank()), final_dest, record,
-               ctx);
+  route_record(static_cast<std::uint16_t>(comm_->rank()), final_dest, record);
 }
 
 inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
-                                         std::span<const std::byte> record,
-                                         obs::trace_ctx ctx) {
+                                         std::span<const std::byte> record) {
   // Phase attribution: framing + arena appends are `mbox_pack`; a
   // watermark-triggered flush below nests out into `mbox_flush`.
   const obs::phase_scope pscope(obs::phase::mbox_pack);
   assert(final_dest >= 0 && final_dest < comm_->size());
-  assert(record.size() <= kRecSizeMask);
-  const std::uint32_t size_field =
-      static_cast<std::uint32_t>(record.size()) | (ctx != 0 ? kCtxFlag : 0u);
+  assert(record.size() <= 0xffff'ffffu);
   const record_header hdr{static_cast<std::uint16_t>(final_dest), origin,
-                          size_field};
-  const std::size_t frame =
-      sizeof(hdr) + (ctx != 0 ? sizeof(ctx) : 0) + record.size();
+                          static_cast<std::uint32_t>(record.size())};
+  const std::size_t frame = sizeof(hdr) + record.size();
   if (final_dest == comm_->rank()) {
     // Self-sends go to the flat local arena, framed exactly like a packet
     // record; drain_local hands out span views into it (no per-record
@@ -389,7 +367,7 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
     }
     const std::size_t at = arena.size();
     arena.resize(at + frame);
-    write_frame(arena.data() + at, hdr, ctx, record);
+    write_frame(arena.data() + at, hdr, record);
     sync_arena_mem();
     return;
   }
@@ -411,7 +389,7 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
   }
   const std::size_t at = ch.buf.size();
   ch.buf.resize(at + frame);
-  write_frame(ch.buf.data() + at, hdr, ctx, record);
+  write_frame(ch.buf.data() + at, hdr, record);
   sync_channel_mem(ch);
   if (ch.buf.size() >= ch.watermark) flush_channel(hop, flush_reason::size);
 }
@@ -431,9 +409,15 @@ std::size_t routed_mailbox::process_packet(const runtime::message& m,
     return 0;
   }
   // Critical-path edge, receiver half: (source, seq) matches the sender's
-  // mbox_send marker exactly (obs/span.hpp, critpath.cpp).
+  // mbox_send marker exactly (obs/span.hpp, critpath.cpp).  The trace
+  // flow closes here, once per packet that passed dedup: a replay that
+  // slipped through would end its flow twice.
   obs::span_mark(obs::span_kind::mbox_recv,
                  static_cast<std::uint64_t>(m.source), ph.seq);
+  if (obs::trace_on()) {
+    obs::trace_flow('f', "mailbox.packet", "mailbox",
+                    packet_flow_id(m.source, comm_->rank(), ph.seq));
+  }
   const bool mx = obs::metrics_on();
   if (mx && ph.open_ts_us != 0) {
     const std::uint64_t now = now_us();
@@ -448,34 +432,19 @@ std::size_t routed_mailbox::process_packet(const runtime::message& m,
     record_header hdr;
     std::memcpy(&hdr, data + off, sizeof(hdr));
     off += sizeof(hdr);
-    obs::trace_ctx ctx = 0;
-    if (hdr.size & kCtxFlag) {
-      std::memcpy(&ctx, data + off, sizeof(ctx));
-      off += sizeof(ctx);
-    }
-    const std::uint32_t rec_size = hdr.size & kRecSizeMask;
-    const std::span<const std::byte> record(data + off, rec_size);
-    off += rec_size;
+    const std::span<const std::byte> record(data + off, hdr.size);
+    off += hdr.size;
     if (static_cast<int>(hdr.final_dest) == self) {
       ++stats_.records_delivered;
       ++delivered;
       if (mx) {
         matrix_.delivered_records[hdr.origin] += 1;
-        matrix_.delivered_bytes[hdr.origin] += rec_size;
+        matrix_.delivered_bytes[hdr.origin] += hdr.size;
       }
-      deliver_record(deliver, static_cast<int>(hdr.origin), record, ctx);
+      deliver(static_cast<int>(hdr.origin), record);
     } else {
       ++stats_.records_forwarded;
-      if (ctx != 0) {
-        // One routing hop of a sampled visitor: bump the hop count and drop
-        // a flow step so the Chrome trace draws the relay arrow through
-        // this rank's row.
-        ctx = obs::ctx_bump_hop(ctx);
-        obs::trace_flow_step("visitor.hop", obs::ctx_flow_id(ctx),
-                             "visitor_flow", "hop",
-                             static_cast<double>(obs::ctx_hops(ctx)));
-      }
-      route_record(hdr.origin, static_cast<int>(hdr.final_dest), record, ctx);
+      route_record(hdr.origin, static_cast<int>(hdr.final_dest), record);
     }
   }
   obs::flight_record(obs::flight_kind::mbox_packet, delivered, total);
@@ -510,22 +479,16 @@ std::size_t routed_mailbox::drain_local(F&& deliver) {
       assert(off + sizeof(hdr) <= total);
       std::memcpy(&hdr, data + off, sizeof(hdr));
       off += sizeof(hdr);
-      obs::trace_ctx ctx = 0;
-      if (hdr.size & kCtxFlag) {
-        std::memcpy(&ctx, data + off, sizeof(ctx));
-        off += sizeof(ctx);
-      }
-      const std::uint32_t rec_size = hdr.size & kRecSizeMask;
-      assert(off + rec_size <= total);
+      assert(off + hdr.size <= total);
       ++stats_.records_delivered;
       ++delivered;
       if (mx) {
         matrix_.delivered_records[hdr.origin] += 1;
-        matrix_.delivered_bytes[hdr.origin] += rec_size;
+        matrix_.delivered_bytes[hdr.origin] += hdr.size;
       }
-      deliver_record(deliver, static_cast<int>(hdr.origin),
-                     std::span<const std::byte>(data + off, rec_size), ctx);
-      off += rec_size;
+      deliver(static_cast<int>(hdr.origin),
+              std::span<const std::byte>(data + off, hdr.size));
+      off += hdr.size;
     }
     local_arena_.clear();
     std::swap(local_arena_, local_scratch_);

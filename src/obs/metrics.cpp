@@ -14,7 +14,6 @@
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_context.hpp"
 #include "util/log.hpp"
 
 namespace sfg::obs {
@@ -90,9 +89,6 @@ struct apply_env {
           write_chrome_trace(trace_path);
         }
       });
-    }
-    if (const auto n = env_number("SFG_TRACE_SAMPLE", kMaxCount)) {
-      set_trace_sample_rate(static_cast<std::uint32_t>(*n));
     }
     if (const char* dir = env_path("SFG_TS_DIR")) set_ts_dir(dir);
     if (const auto n = env_number("SFG_TS_INTERVAL_MS", kMaxCount)) {

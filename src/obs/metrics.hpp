@@ -22,11 +22,9 @@
 ///                           append a structured JSON report at <path>
 ///                           (run_report.hpp)
 ///   SFG_TRACE=<path>        enable tracing; a Chrome/Perfetto-loadable trace
-///                           is written to <path> at process exit if the
-///                           process recorded any event (trace.hpp)
-///   SFG_TRACE_SAMPLE=<n>    sample 1-in-n visitor pushes with a causal trace
-///                           context that follows the visitor across ranks
-///                           (trace_context.hpp); 0 disables sampling
+///                           (spans, plus one flow arrow per mailbox
+///                           packet) is written to <path> at process exit
+///                           if the process recorded any event (trace.hpp)
 ///   SFG_TS_INTERVAL_MS=<n>  live time-series sampling every n ms
 ///                           (timeseries.hpp), which arms the data gate;
 ///                           0 disables
@@ -85,8 +83,6 @@ inline constexpr std::uint32_t kMemBudgetBit = 1u << 5;
 /// unit's static initialiser) sees these defaults.
 struct obs_toggles {
   std::atomic<std::uint32_t> on{kFlightBit};
-  /// Visitor causal-sampling rate: sample 1-in-`sample` pushes; 0 = off.
-  std::atomic<std::uint32_t> sample{0};
   /// Soft memory budget in bytes (SFG_MEM_BUDGET, mem.hpp); 0 = disarmed.
   std::atomic<std::uint64_t> mem_budget{0};
 };

@@ -91,11 +91,11 @@ void trace_complete(const char* name, const char* cat, std::uint64_t start_us,
                       start_us, dur_us, arg_name, arg_value});
 }
 
-void trace_flow(char ph, const char* name, const char* cat, std::uint64_t id,
-                const char* arg_name, double arg_value) noexcept {
+void trace_flow(char ph, const char* name, const char* cat,
+                std::uint64_t id) noexcept {
   if (!trace_on()) return;
   detail::trace_emit({name, cat, ph, detail::trace_pid(), detail::trace_tid(),
-                      trace_now_us(), 0, arg_name, arg_value, id});
+                      trace_now_us(), 0, nullptr, 0, id});
 }
 
 namespace {

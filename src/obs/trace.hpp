@@ -103,29 +103,11 @@ void trace_complete(const char* name, const char* cat, std::uint64_t start_us,
                     double arg_value = 0) noexcept;
 
 /// Chrome-trace flow event ('s' start / 't' step / 'f' end).  Events with
-/// the same (cat, id) pair are drawn as one arrow chain across rank rows —
-/// the rendering of a sampled visitor's causal chain (trace_context.hpp).
-void trace_flow(char ph, const char* name, const char* cat, std::uint64_t id,
-                const char* arg_name = nullptr, double arg_value = 0) noexcept;
-
-inline void trace_flow_begin(const char* name, std::uint64_t id,
-                             const char* cat = "visitor_flow",
-                             const char* arg_name = nullptr,
-                             double arg_value = 0) noexcept {
-  trace_flow('s', name, cat, id, arg_name, arg_value);
-}
-inline void trace_flow_step(const char* name, std::uint64_t id,
-                            const char* cat = "visitor_flow",
-                            const char* arg_name = nullptr,
-                            double arg_value = 0) noexcept {
-  trace_flow('t', name, cat, id, arg_name, arg_value);
-}
-inline void trace_flow_end(const char* name, std::uint64_t id,
-                           const char* cat = "visitor_flow",
-                           const char* arg_name = nullptr,
-                           double arg_value = 0) noexcept {
-  trace_flow('f', name, cat, id, arg_name, arg_value);
-}
+/// the same (cat, id) pair are drawn as one arrow across rank rows — the
+/// mailbox draws one per packet, from the sender's flush to the
+/// receiver's delivery (routed_mailbox.hpp).
+void trace_flow(char ph, const char* name, const char* cat,
+                std::uint64_t id) noexcept;
 
 /// Serialize everything recorded so far as Chrome trace JSON
 /// ({"traceEvents": [...]}) loadable in chrome://tracing and Perfetto.

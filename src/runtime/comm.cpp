@@ -8,12 +8,17 @@
 
 namespace sfg::runtime {
 
+namespace {
+std::atomic<std::uint64_t> worlds_created{0};
+}  // namespace
+
 world::world(int num_ranks, net_params net, fault_params faults)
     : coll_slots_(static_cast<std::size_t>(num_ranks)),
       barrier_(num_ranks),
       net_(net),
       faults_(faults),
-      faults_on_(faults.enabled()) {
+      faults_on_(faults.enabled()),
+      serial_(worlds_created.fetch_add(1, std::memory_order_relaxed)) {
   if (num_ranks <= 0) throw std::invalid_argument("world: num_ranks must be > 0");
   endpoints_.reserve(static_cast<std::size_t>(num_ranks));
   for (int r = 0; r < num_ranks; ++r) {

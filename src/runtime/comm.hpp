@@ -99,6 +99,8 @@ class world {
   net_params net_;
   fault_params faults_;
   bool faults_on_ = false;  ///< cached so the send fast path is one branch
+  /// Process-unique number of this world (comm::next_context_id).
+  std::uint64_t serial_;
   std::vector<std::unique_ptr<comm>> comms_;
 };
 
@@ -115,6 +117,15 @@ class comm {
   /// The world's fault configuration (all-zero when faults are off).
   [[nodiscard]] const fault_params& faults() const noexcept {
     return world_->faults_;
+  }
+
+  /// MPI-style context id: the k-th call on every rank of this world
+  /// returns the same value, and no other world's calls return it.  Ranks
+  /// open their mailboxes in the same collective order, so a mailbox and
+  /// its peers on the other ranks share one id (the routed mailbox keys
+  /// its packets' trace flows with it).
+  [[nodiscard]] std::uint64_t next_context_id() noexcept {
+    return world_->serial_ << 32 | contexts_opened_++;
   }
 
   // ---- non-blocking point-to-point ----
@@ -297,6 +308,7 @@ class comm {
 
   world* world_;
   int rank_;
+  std::uint32_t contexts_opened_ = 0;
   traffic_stats stats_;
   std::vector<std::uint64_t> sent_per_dest_;
   std::vector<std::uint64_t> bytes_per_dest_;

@@ -9,10 +9,10 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,8 +31,8 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_context.hpp"
 #include "reference/serial_graph.hpp"
+#include "support/packet_flows.hpp"
 
 namespace sfg::chaos {
 namespace {
@@ -309,86 +309,48 @@ TEST(Chaos, MailboxDedupesDuplicatedPackets) {
       runtime::net_params{}, fp);
 }
 
-TEST(Chaos, TraceChainSurvivesFaults) {
-  // Causal-chain conservation under adversarial transport: every sampled
-  // push ('s' flow event) must reach exactly one terminal 'f' — accepted
-  // at chain end, ghost-filtered, or pre_visit-rejected — even while the
-  // fault schedule duplicates, delays, and reorders packets.  A duplicated
-  // packet that slipped past the mailbox dedup would mint a second
-  // terminal for some chain and break the count; a lost record would
-  // strand a chain with no terminal.  And at least one chain must span
-  // ranks (distinct pids), proving the context survives the wire.
+TEST(Chaos, PacketFlowsMatchUnderFaults) {
+  // Packet-flow conservation under adversarial transport: with tracing
+  // on, every packet a flush puts on the wire opens one flow ('s'), and
+  // the receiver closes it ('f') once the packet passes dedup — even while
+  // the fault schedule duplicates, delays, and reorders packets.  A
+  // duplicate that slipped past the sequence window would end some flow
+  // twice; a lost packet would leave one open.  Flow ids are salted per
+  // mailbox generation, so they stay unique across the sweep's worlds.
   const auto rc = small_rmat(7);
   const auto edges = gen::rmat_slice(rc, 0, rc.num_edges());
 
   const bool saved_trace = obs::trace_on();
-  const std::uint32_t saved_rate = obs::trace_sample_rate();
   obs::set_trace_enabled(true);
-  obs::set_trace_sample_rate(3);  // 1-in-3 pushes per rank thread
   obs::trace_clear();
 
+  std::atomic<std::uint64_t> packets_sent{0};
   run_sweep({.ranks = 4, .num_seeds = 4, .base_seed = 0x7'4ACE},
             [&](comm& c, const schedule& s) {
               auto mine = slice_edges(edges, c.rank(), c.size());
               auto g = build_in_memory_graph(c, mine, {.num_ghosts = 32});
-              auto result =
+              const auto result =
                   core::run_bfs(g, g.locate(edges.front().src), s.queue);
-              (void)result;
+              packets_sent += result.stats.mailbox.packets_sent;
             });
 
   EXPECT_EQ(obs::trace_dropped_count(), 0u)
       << "trace buffer overflowed; the conservation check would be invalid";
 
-  // Reconstruct the chains from the recorded flow events.
-  struct chain {
-    std::uint64_t starts = 0;
-    std::uint64_t terminals = 0;
-    std::set<std::int64_t> pids;
-  };
-  std::map<std::uint64_t, chain> chains;
-  std::uint64_t starts = 0;
-  std::uint64_t terminals = 0;
-  const obs::json doc = obs::trace_to_json();
-  const obs::json& events = *doc.find("traceEvents");
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const obs::json& ev = events.at(i);
-    const obs::json* cat = ev.find("cat");
-    if (cat == nullptr || !cat->is_string() ||
-        cat->as_string() != "visitor_flow") {
-      continue;
-    }
-    ASSERT_NE(ev.find("id"), nullptr) << "flow event without id";
-    auto& ch = chains[ev.find("id")->as_u64()];
-    ch.pids.insert(ev.find("pid")->as_i64());
-    const std::string ph = ev.find("ph")->as_string();
-    if (ph == "s") {
-      ++starts;
-      ++ch.starts;
-    } else if (ph == "f") {
-      ++terminals;
-      ++ch.terminals;
-    }
-  }
-  obs::set_trace_sample_rate(saved_rate);
+  const auto flows = test::traced_packet_flows();
   obs::set_trace_enabled(saved_trace);
   obs::trace_clear();
 
-  ASSERT_GT(starts, 0u) << "sampling produced no chains at all";
-  EXPECT_EQ(starts, terminals)
-      << "every sampled push must terminate exactly once";
-
-  bool cross_rank_chain = false;
-  for (const auto& [id, ch] : chains) {
-    // One flow id can legitimately carry several chains (the same root
-    // vertex re-pushed across sweep seeds), so starts == terminals is the
-    // per-id invariant, not starts == 1.
-    EXPECT_EQ(ch.starts, ch.terminals) << "flow id " << id;
-    cross_rank_chain =
-        cross_rank_chain ||
-        (ch.starts > 0 && ch.terminals > 0 && ch.pids.size() >= 2);
+  ASSERT_FALSE(flows.empty()) << "the sweep traced no packet";
+  EXPECT_EQ(flows.size(), packets_sent.load())
+      << "one flow per packet the mailboxes sent";
+  for (const auto& [id, fl] : flows) {
+    EXPECT_EQ(fl.starts, 1) << "flow id " << id;
+    EXPECT_EQ(fl.ends, 1) << "flow id " << id;
+    // A packet always crosses ranks: self-sends never leave the local
+    // arena, so sender and receiver rows differ.
+    EXPECT_NE(fl.start_pid, fl.end_pid) << "flow id " << id;
   }
-  EXPECT_TRUE(cross_rank_chain)
-      << "no sampled chain crossed a rank boundary";
 }
 
 TEST(Chaos, TimeSeriesSurvivesFaults) {

@@ -6,10 +6,11 @@
 ///     the aggregation watermark on its own — survive framing, flushing
 ///     and unpacking byte for byte.
 ///   - Robustness: a structurally corrupt packet (truncated anywhere,
-///     lying record length, out-of-range destination) is rejected whole,
-///     counted in stats().packets_rejected, and — critically — does NOT
-///     consume its sequence number, so an intact retransmission of the
-///     same packet still delivers.
+///     lying record length, a length with its top bit set, out-of-range
+///     destination) is rejected whole, counted in
+///     stats().packets_rejected, and — critically — does NOT consume its
+///     sequence number, so an intact retransmission of the same packet
+///     still delivers.
 ///   - Dedup equivalence: seq_window (the O(1) sliding-window structure
 ///     that replaced the per-source unordered_set of every seq ever seen)
 ///     gives verdicts identical to the reference set under seeded
@@ -139,16 +140,18 @@ TEST(MailboxFuzz, TruncatedPacketsRejectedWithoutConsumingSeq) {
   // (only the handful of record-boundary cuts can pass validation).
   EXPECT_GT(rejected, intact.size() / 2);
 
-  // A record header lying about its length (points past the end) rejects.
-  {
+  // A record header lying about its length (points past the end) rejects,
+  // and so does a size with its top bit set: no bit of the size is a flag.
+  // The first record is empty and the second 24 bytes long, so 2^31 + 24
+  // would pass as three records if bit 31 flagged 8 extra header bytes.
+  for (const std::uint32_t lying : {0x7fff'ffffu, 0x8000'0000u | 24u}) {
     runtime::message m;
     m.source = 0;
     m.tag = kMailTag;
     m.payload = intact;
     // First record header starts after the 16-byte packet header (seq +
     // latency stamp); its size field is the u32 at offset 16 + 4.
-    const std::uint32_t huge = 0x7fffffff;
-    std::memcpy(m.payload.data() + 20, &huge, sizeof(huge));
+    std::memcpy(m.payload.data() + 20, &lying, sizeof(lying));
     const auto before = m1.stats().packets_rejected;
     EXPECT_EQ(m1.process_packet(m, count_only), 0u);
     EXPECT_EQ(m1.stats().packets_rejected, before + 1);

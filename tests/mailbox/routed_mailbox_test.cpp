@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "runtime/runtime.hpp"
+#include "support/packet_flows.hpp"
 #include "util/rng.hpp"
 
 namespace sfg::mailbox {
@@ -29,10 +33,13 @@ std::uint64_t expected_checksum(const test_record& r) {
 }
 
 /// Pump the comm inbox into the mailbox until globally all records are
-/// delivered.  `expected_total` is the global record count.
+/// delivered.  `expected_total` is the global record count.  With
+/// `replay`, every packet is handed over twice, as a duplicating transport
+/// would, and the second copy must deliver nothing.
 void pump_until_all_delivered(runtime::comm& c, routed_mailbox& mb,
                               std::uint64_t expected_total,
-                              std::vector<test_record>& received) {
+                              std::vector<test_record>& received,
+                              bool replay = false) {
   auto handler = [&](int origin, std::span<const std::byte> bytes) {
     ASSERT_EQ(bytes.size(), sizeof(test_record));
     test_record r;
@@ -48,6 +55,9 @@ void pump_until_all_delivered(runtime::comm& c, routed_mailbox& mb,
     runtime::message m;
     while (c.try_recv(m)) {
       mb.process_packet(m, handler);
+      if (replay) {
+        EXPECT_EQ(mb.process_packet(m, handler), 0u);
+      }
       mb.drain_local(handler);
     }
     mb.flush();
@@ -128,6 +138,56 @@ TEST_P(MailboxP, RandomTrafficPropertyTest) {
     }
     c.barrier();
   });
+}
+
+TEST_P(MailboxP, PacketFlowsOnePerHop) {
+  // With tracing on, each packet a flush puts on the wire — one per
+  // routing hop — opens one flow ('s') on its sender's row, and its next
+  // hop closes it ('f') on its own row once, after dedup, although every
+  // packet is handed over twice here.  Self-sends never leave the local
+  // arena, so a lone rank draws no flow at all.
+  const auto [topo, p] = GetParam();
+  const bool saved_trace = obs::trace_on();
+  obs::set_trace_enabled(true);
+  obs::trace_clear();
+  std::atomic<std::uint64_t> packets_sent{0};
+  std::atomic<std::uint64_t> replays_dropped{0};
+  launch(p, [&, topo = topo, p = p](runtime::comm& c) {
+    routed_mailbox mb(c, {topo, 256, kMailTag});  // tiny buffers: many packets
+    constexpr int kRecords = 64;
+    auto gen = util::make_stream(4242, static_cast<std::uint64_t>(c.rank()));
+    for (int i = 0; i < kRecords; ++i) {
+      const auto dest = static_cast<std::uint32_t>(
+          gen.uniform_below(static_cast<std::uint64_t>(p)));
+      test_record r{static_cast<std::uint32_t>(c.rank()), dest,
+                    static_cast<std::uint64_t>(i), 0};
+      r.checksum = expected_checksum(r);
+      mb.send(static_cast<int>(dest), runtime::as_bytes_of(r));
+    }
+    std::vector<test_record> received;
+    pump_until_all_delivered(c, mb, static_cast<std::uint64_t>(p) * kRecords,
+                             received, /*replay=*/true);
+    EXPECT_EQ(mb.stats().packets_rejected, 0u);
+    packets_sent += mb.stats().packets_sent;
+    replays_dropped += mb.stats().packets_dropped_duplicate;
+    c.barrier();
+  });
+  EXPECT_EQ(obs::trace_dropped_count(), 0u);
+  const auto flows = test::traced_packet_flows();
+  obs::set_trace_enabled(saved_trace);
+  obs::trace_clear();
+
+  EXPECT_EQ(flows.size(), packets_sent.load()) << "one flow per packet";
+  EXPECT_EQ(replays_dropped.load(), packets_sent.load())
+      << "every packet arrived, and its replay was dropped";
+  EXPECT_EQ(flows.empty(), p == 1);
+  for (const auto& [id, fl] : flows) {
+    EXPECT_EQ(fl.starts, 1) << "flow id " << id;
+    EXPECT_EQ(fl.ends, 1) << "flow id " << id;
+    EXPECT_NE(fl.start_pid, fl.end_pid) << "flow id " << id;
+    EXPECT_GE(std::min(fl.start_pid, fl.end_pid), 0) << "flow id " << id;
+    EXPECT_LT(std::max(fl.start_pid, fl.end_pid), p) << "flow id " << id;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -276,6 +336,47 @@ TEST(Mailbox, HandlerMaySendMoreRecords) {
     }
     c.barrier();
   });
+}
+
+TEST(Mailbox, PacketFlowsPairFlushWithDelivery) {
+  // With tracing on, a flush opens one flow per packet ('s') and the
+  // receiver closes it ('f') once, after dedup: a replayed packet adds
+  // nothing.  A second mailbox generation on the same world restarts its
+  // seqs at 0, yet draws new ids.
+  const bool saved_trace = obs::trace_on();
+  obs::set_trace_enabled(true);
+  obs::trace_clear();
+  runtime::world w(2);
+  auto& c0 = w.rank_comm(0);
+  auto& c1 = w.rank_comm(1);
+  const auto exchange = [&](int packets) {
+    routed_mailbox m0(c0, {topology::direct, 1 << 16, kMailTag});
+    routed_mailbox m1(c1, {topology::direct, 1 << 16, kMailTag});
+    const auto ignore = [](int, std::span<const std::byte>) {};
+    test_record r{0, 1, 0, 0};
+    for (int i = 0; i < packets; ++i) {
+      m0.send(1, runtime::as_bytes_of(r));
+      m0.flush();
+    }
+    runtime::message m;
+    while (c1.try_recv(m)) {
+      m1.process_packet(m, ignore);
+      m1.process_packet(m, ignore);  // a transport replay
+    }
+    EXPECT_EQ(m1.stats().packets_dropped_duplicate,
+              static_cast<std::uint64_t>(packets));
+  };
+  exchange(3);
+  exchange(2);
+
+  const auto flows = test::traced_packet_flows();
+  obs::set_trace_enabled(saved_trace);
+  obs::trace_clear();
+  EXPECT_EQ(flows.size(), 5u) << "one id per packet, across generations";
+  for (const auto& [id, fl] : flows) {
+    EXPECT_EQ(fl.starts, 1) << "flow id " << id;
+    EXPECT_EQ(fl.ends, 1) << "flow id " << id;
+  }
 }
 
 }  // namespace

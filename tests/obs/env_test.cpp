@@ -18,7 +18,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace_context.hpp"
 
 namespace sfg::obs {
 namespace {
@@ -85,10 +84,6 @@ TEST(ObsEnvMalformed, NumericSwitchesKeepTheirDefaults) {
   if (malformed("SFG_SPANS", 1)) {
     any = true;
     EXPECT_FALSE(spans_on());
-  }
-  if (malformed("SFG_TRACE_SAMPLE", kMaxCount)) {
-    any = true;
-    EXPECT_EQ(trace_sample_rate(), 0u);
   }
   if (malformed("SFG_TS_INTERVAL_MS", kMaxCount)) {
     any = true;

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/trace_context.hpp"
 #include "util/log.hpp"
 
 namespace sfg::obs {
@@ -165,20 +164,20 @@ TEST_F(trace_test, TimeIsMonotonic) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow events ('s'/'t'/'f') — the causal-chain vocabulary.
+// Flow events ('s'/'t'/'f') — the mailbox's per-packet arrows.
 // ---------------------------------------------------------------------------
 
 TEST_F(trace_test, FlowEventsCarryPhaseAndId) {
   constexpr std::uint64_t kId = 0x8000'1234'5678'9abcULL;
-  trace_flow_begin("flow.start", kId);
-  trace_flow_step("flow.mid", kId);
-  trace_flow_end("flow.finish", kId);
+  trace_flow('s', "flow.start", "mailbox", kId);
+  trace_flow('t', "flow.mid", "mailbox", kId);
+  trace_flow('f', "flow.finish", "mailbox", kId);
 
   const json events = events_json();
   const json* s = find_event(events, "flow.start");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->find("ph")->as_string(), "s");
-  EXPECT_EQ(s->find("cat")->as_string(), "visitor_flow");
+  EXPECT_EQ(s->find("cat")->as_string(), "mailbox");
   ASSERT_NE(s->find("id"), nullptr);
   EXPECT_EQ(s->find("id")->as_u64(), kId);
   EXPECT_EQ(s->find("bp"), nullptr);
@@ -192,139 +191,16 @@ TEST_F(trace_test, FlowEventsCarryPhaseAndId) {
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->find("ph")->as_string(), "f");
   EXPECT_EQ(f->find("id")->as_u64(), kId);
-  // Binding point "enclosing": the arrow lands on the event that was
-  // active when the flow ended, which is how Perfetto draws chains.
+  // Binding point "enclosing": the arrow lands on the slice that was
+  // active when the flow ended, which is how Perfetto draws it.
   ASSERT_NE(f->find("bp"), nullptr);
   EXPECT_EQ(f->find("bp")->as_string(), "e");
 }
 
 TEST_F(trace_test, FlowEventsRespectEnableGate) {
   set_trace_enabled(false);
-  trace_flow_begin("flow.gated", 7);
+  trace_flow('s', "flow.gated", "mailbox", 7);
   EXPECT_EQ(trace_event_count(), 0u);
-}
-
-TEST_F(trace_test, FlowStepCarriesArg) {
-  trace_flow_step("flow.arg", 9, "visitor_flow", "hop", 3.0);
-  const json events = events_json();
-  const json* ev = find_event(events, "flow.arg");
-  ASSERT_NE(ev, nullptr);
-  ASSERT_NE(ev->find("args"), nullptr);
-  EXPECT_DOUBLE_EQ(ev->find("args")->find("hop")->as_double(), 3.0);
-}
-
-// ---------------------------------------------------------------------------
-// trace_ctx packing — origin rank, vertex bits, hop count, sampled bit.
-// ---------------------------------------------------------------------------
-
-TEST(trace_ctx_test, PackAndUnpackRoundTrips) {
-  const trace_ctx c = make_trace_ctx(1234, 0xab'cdef'0123ULL, 5);
-  EXPECT_TRUE(ctx_sampled(c));
-  EXPECT_EQ(ctx_origin(c), 1234);
-  EXPECT_EQ(ctx_vertex(c), 0xab'cdef'0123ULL);
-  EXPECT_EQ(ctx_hops(c), 5u);
-}
-
-TEST(trace_ctx_test, ZeroMeansUnsampled) {
-  EXPECT_FALSE(ctx_sampled(trace_ctx{0}));
-}
-
-TEST(trace_ctx_test, VertexBitsTruncateTo40) {
-  // Only the low 40 bits of the vertex survive; the id is a sampling
-  // correlator, not a lossless vertex encoding.
-  const trace_ctx c = make_trace_ctx(0, ~0ULL, 0);
-  EXPECT_EQ(ctx_vertex(c), (std::uint64_t{1} << 40) - 1);
-}
-
-TEST(trace_ctx_test, HopCountSaturatesAt127) {
-  trace_ctx c = make_trace_ctx(3, 42, 126);
-  c = ctx_bump_hop(c);
-  EXPECT_EQ(ctx_hops(c), 127u);
-  c = ctx_bump_hop(c);  // saturates instead of wrapping into origin bits
-  EXPECT_EQ(ctx_hops(c), 127u);
-  EXPECT_EQ(ctx_origin(c), 3);
-  EXPECT_EQ(ctx_vertex(c), 42u);
-  EXPECT_TRUE(ctx_sampled(c));
-}
-
-TEST(trace_ctx_test, BumpHopOnUnsampledStaysZero) {
-  EXPECT_EQ(ctx_bump_hop(trace_ctx{0}), trace_ctx{0});
-}
-
-TEST(trace_ctx_test, FlowIdIsHopInvariant) {
-  // Every hop of one visitor chain must map to the same flow id, or the
-  // Chrome-trace arrows would not connect across ranks.
-  const trace_ctx h0 = make_trace_ctx(17, 99, 0);
-  const trace_ctx h3 = make_trace_ctx(17, 99, 3);
-  EXPECT_NE(h0, h3);
-  EXPECT_EQ(ctx_flow_id(h0), ctx_flow_id(h3));
-  // Distinct origins or vertices are distinct flows.
-  EXPECT_NE(ctx_flow_id(make_trace_ctx(18, 99, 0)), ctx_flow_id(h0));
-  EXPECT_NE(ctx_flow_id(make_trace_ctx(17, 98, 0)), ctx_flow_id(h0));
-}
-
-// ---------------------------------------------------------------------------
-// Sampling gate — 1-in-N per thread, off when tracing is off or rate is 0.
-// ---------------------------------------------------------------------------
-
-struct sampling_fixture : trace_fixture {
-  std::uint32_t saved_rate = trace_sample_rate();
-  void TearDown() override {
-    set_trace_sample_rate(saved_rate);
-    trace_fixture::TearDown();
-  }
-};
-
-using sampling_test = sampling_fixture;
-
-TEST_F(sampling_test, RateZeroNeverSamples) {
-  set_trace_sample_rate(0);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(sample_trace_ctx(0, static_cast<std::uint64_t>(i)), 0u);
-  }
-}
-
-TEST_F(sampling_test, TracingOffNeverSamples) {
-  set_trace_sample_rate(1);
-  set_trace_enabled(false);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(sample_trace_ctx(0, static_cast<std::uint64_t>(i)), 0u);
-  }
-}
-
-TEST_F(sampling_test, RateOneSamplesEverything) {
-  set_trace_sample_rate(1);
-  // Run on a fresh thread so this test does not inherit another test's
-  // thread-local countdown position.
-  int sampled = 0;
-  std::thread([&] {
-    for (int i = 0; i < 50; ++i) {
-      if (sample_trace_ctx(2, static_cast<std::uint64_t>(i)) != 0) ++sampled;
-    }
-  }).join();
-  EXPECT_EQ(sampled, 50);
-}
-
-TEST_F(sampling_test, RateNSamplesExactlyOneInN) {
-  constexpr std::uint32_t kRate = 8;
-  constexpr int kCalls = 80;
-  set_trace_sample_rate(kRate);
-  int sampled = 0;
-  trace_ctx first = 0;
-  std::thread([&] {
-    for (int i = 0; i < kCalls; ++i) {
-      const trace_ctx c = sample_trace_ctx(3, static_cast<std::uint64_t>(i));
-      if (c != 0) {
-        if (first == 0) first = c;
-        ++sampled;
-      }
-    }
-  }).join();
-  EXPECT_EQ(sampled, kCalls / static_cast<int>(kRate));
-  ASSERT_NE(first, 0u);
-  EXPECT_TRUE(ctx_sampled(first));
-  EXPECT_EQ(ctx_origin(first), 3);
-  EXPECT_EQ(ctx_hops(first), 0u);
 }
 
 }  // namespace

@@ -27,10 +27,15 @@
 ///
 /// FILEs ending in .txt are treated as text edge lists, anything else as
 /// the packed binary format (io/edge_list_io.hpp).
+///
+/// Exit status: 0 on success, 1 when the run fails (a file that cannot be
+/// read, a graph with no vertex, a --source that names no vertex, a failed
+/// --validate), 2 on a malformed command line.
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -378,9 +383,23 @@ int cmd_bfs(const args_map& a) {
   }
   return with_graph(a, "bfs", static_cast<std::uint32_t>(a.opt_u64("ghosts", 256)),
                     [&](sfg::runtime::comm& c, auto& g) {
+    if (g.total_vertices() == 0) {
+      if (c.rank() == 0) {
+        std::cerr << "sfg_cli: " << a.positional[0] << " has no vertex\n";
+      }
+      return 1;
+    }
     auto source = g.locate(a.opt_u64("source", 0));
+    if (!source.valid() && a.options.contains("source")) {
+      if (c.rank() == 0) {
+        std::cerr << "sfg_cli: --source " << a.opt("source", "")
+                  << " names no vertex of the graph\n";
+      }
+      return 1;
+    }
     if (!source.valid()) {
-      // Fall back to the max-degree vertex (collective choice).
+      // No --source, and vertex 0 does not exist: start from the
+      // max-degree vertex (collective choice).
       struct cand {
         std::uint64_t degree;
         std::uint64_t inv_bits;
@@ -550,11 +569,18 @@ int main(int argc, char** argv) {
   }
   const auto a = parse_args(argc, argv, 2, spec);
   if (!a) return usage();
-  if (cmd == "generate") return cmd_generate(*a);
-  if (cmd == "info") return cmd_info(*a);
-  if (cmd == "bfs") return cmd_bfs(*a);
-  if (cmd == "kcore") return cmd_kcore(*a);
-  if (cmd == "triangles") return cmd_triangles(*a);
-  if (cmd == "components") return cmd_components(*a);
-  return cmd_pagerank(*a);
+  // A rank's exception (an unreadable or malformed input file) reaches
+  // here through runtime::launch.
+  try {
+    if (cmd == "generate") return cmd_generate(*a);
+    if (cmd == "info") return cmd_info(*a);
+    if (cmd == "bfs") return cmd_bfs(*a);
+    if (cmd == "kcore") return cmd_kcore(*a);
+    if (cmd == "triangles") return cmd_triangles(*a);
+    if (cmd == "components") return cmd_components(*a);
+    return cmd_pagerank(*a);
+  } catch (const std::exception& e) {
+    std::cerr << "sfg_cli: " << e.what() << "\n";
+    return 1;
+  }
 }

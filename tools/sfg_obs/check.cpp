@@ -13,9 +13,10 @@
 ///   --report  a run report (sfg-run-report/1, from sfg_cli --json-report)
 ///             or a metrics report (sfg-metrics/1, from SFG_METRICS)
 ///   --trace   Chrome-trace JSON from SFG_TRACE / --trace.  Flow events
-///             ('s'/'t'/'f') must carry an integer "id"; when any are
-///             present, at least one flow id must have both its start and
-///             its end — a complete sampled visitor chain.
+///             ('s'/'t'/'f') must carry an integer "id", and no flow id
+///             may start or end twice (a second end is a packet delivered
+///             twice); when any are present, at least one flow id must
+///             have both its start and its end — a complete packet flow.
 ///   --flight  flight-recorder dump (sfg-flight/1, from SFG_FLIGHT_DUMP /
 ///             the chaos harness / a rank fault)
 ///   --timeseries  per-rank sfg-timeseries/1 JSONL from SFG_TS_INTERVAL_MS
@@ -239,11 +240,11 @@ void check_trace(const std::string& file, const json& doc) {
     fail(file, "traceEvents is empty");
     return;
   }
-  // Flow events bind by (cat, id); track which phases each flow carries so
-  // we can require at least one *complete* chain (start and end) when the
-  // trace contains any flows at all.
+  // Flow events bind by (cat, id); count each flow's starts and ends so
+  // no flow can start or end twice, and at least one is *complete* (start
+  // and end) when the trace contains any flows at all.
   struct flow_phases {
-    bool s = false, f = false;
+    int s = 0, f = 0;
   };
   std::map<std::pair<std::string, std::uint64_t>, flow_phases> flows;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -274,8 +275,14 @@ void check_trace(const std::string& file, const json& doc) {
         return;
       }
       auto& fp = flows[{cat != nullptr ? cat->as_string() : "", *id}];
-      if (ph == "s") fp.s = true;
-      if (ph == "f") fp.f = true;
+      if (ph != "t") {
+        int& seen = ph == "s" ? fp.s : fp.f;
+        if (++seen > 1) {
+          fail(file, "flow id " + std::to_string(*id) + " carries two '" +
+                         ph + "' events (" + where + ")");
+          return;
+        }
+      }
     }
   }
   if (!flows.empty()) {
@@ -283,7 +290,7 @@ void check_trace(const std::string& file, const json& doc) {
     for (const auto& [key, fp] : flows) complete = complete || (fp.s && fp.f);
     if (!complete) {
       fail(file, "trace has flow events but no flow id carries both a start "
-                 "('s') and an end ('f') — no complete causal chain");
+                 "('s') and an end ('f') — no complete packet flow");
     }
   }
 }
