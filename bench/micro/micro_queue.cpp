@@ -1,8 +1,8 @@
 /// \file micro_queue.cpp
 /// Visitor local-queue microbenches: push/pop throughput of the queue
 /// behind every traversal (core/local_queue.hpp), per algorithm visitor
-/// type.  The default rows (`queue/push_pop/<algo>`) measure whatever
-/// container queue_impl::automatic selects — these are the rows
+/// type.  The default rows (`queue/push_pop/<algo>`) measure the
+/// container the visitor type selects — these are the rows
 /// tools/sfg_bench_diff gates against bench/baselines/.  The `/heap`
 /// rows pin the reference binary heap for an in-report comparison.
 ///
@@ -54,11 +54,10 @@ core::cc_visitor make_cc(std::uint64_t x) {
   return {random_locator(x), random_locator(x * 3 + 1).bits()};
 }
 
-template <typename Visitor, typename Make>
-void bench_queue(micro::suite& s, const std::string& name,
-                 core::queue_impl impl, Make make) {
-  s.run(name, 2.0 * kBatch, [impl, make](std::uint64_t iters) {
-    core::local_queue<Visitor> q(impl, core::order_tiebreak::vertex_locality);
+template <typename Queue, typename Make>
+void bench_queue(micro::suite& s, const std::string& name, Make make) {
+  s.run(name, 2.0 * kBatch, [make](std::uint64_t iters) {
+    Queue q(core::order_tiebreak::vertex_locality);
     std::uint64_t x = 0;
     std::uint64_t sink = 0;
     for (int i = 0; i < kStanding; ++i) q.push(make(x++));
@@ -79,22 +78,22 @@ int main() {
   micro::suite s("micro_queue",
                  "local visitor queue push/pop (standing population 1024, "
                  "batches of 64) per algorithm visitor type");
-  using core::queue_impl;
-  bench_queue<core::bfs_visitor>(s, "queue/push_pop/bfs",
-                                 queue_impl::automatic, make_bfs);
-  bench_queue<core::sssp_visitor>(s, "queue/push_pop/sssp",
-                                  queue_impl::automatic, make_sssp);
-  bench_queue<core::kcore_visitor>(s, "queue/push_pop/kcore",
-                                   queue_impl::automatic, make_kcore);
-  bench_queue<core::cc_visitor>(s, "queue/push_pop/cc",
-                                queue_impl::automatic, make_cc);
-  // Reference heap rows: the same workloads pinned to the binary heap, so
-  // one report shows bucket-vs-heap side by side.
-  bench_queue<core::bfs_visitor>(s, "queue/push_pop/bfs/heap",
-                                 queue_impl::heap, make_bfs);
-  bench_queue<core::sssp_visitor>(s, "queue/push_pop/sssp/heap",
-                                  queue_impl::heap, make_sssp);
-  bench_queue<core::kcore_visitor>(s, "queue/push_pop/kcore/heap",
-                                   queue_impl::heap, make_kcore);
+  using core::heap_queue;
+  using core::local_queue;
+  bench_queue<local_queue<core::bfs_visitor>>(s, "queue/push_pop/bfs",
+                                              make_bfs);
+  bench_queue<local_queue<core::sssp_visitor>>(s, "queue/push_pop/sssp",
+                                               make_sssp);
+  bench_queue<local_queue<core::kcore_visitor>>(s, "queue/push_pop/kcore",
+                                                make_kcore);
+  bench_queue<local_queue<core::cc_visitor>>(s, "queue/push_pop/cc", make_cc);
+  // Reference heap rows: the same workloads on the binary heap, so one
+  // report shows bucket-vs-heap side by side.
+  bench_queue<heap_queue<core::bfs_visitor>>(s, "queue/push_pop/bfs/heap",
+                                             make_bfs);
+  bench_queue<heap_queue<core::sssp_visitor>>(s, "queue/push_pop/sssp/heap",
+                                              make_sssp);
+  bench_queue<heap_queue<core::kcore_visitor>>(
+      s, "queue/push_pop/kcore/heap", make_kcore);
   return 0;
 }

@@ -45,13 +45,6 @@ enum class order_tiebreak {
   scrambled,
 };
 
-/// Which local-queue container a traversal uses.
-enum class queue_impl {
-  automatic,  ///< bucket when the visitor is keyed, else heap
-  heap,       ///< force the reference binary heap
-  bucket,     ///< force buckets (only legal for keyed visitors)
-};
-
 /// A visitor whose priority is an integral key consistent with its
 /// operator<:  a < b  <=>  a.priority_key() < b.priority_key().
 template <typename V>
@@ -431,94 +424,39 @@ class bucket_queue {
       overflow_;
 };
 
-namespace detail {
-/// Statically-sized stand-in so local_queue has a bucket member even for
-/// visitors with no priority_key(); never touched at runtime.
-template <typename Visitor, bool Keyed = keyed_visitor<Visitor>>
-struct bucket_or_stub {
+/// The container a visitor's local queue uses, fixed at compile time:
+/// buckets for keyed visitors, the reference heap for the rest.
+template <typename Visitor>
+struct queue_container {
+  using type = heap_queue<Visitor>;
+};
+template <keyed_visitor Visitor>
+struct queue_container<Visitor> {
   using type = bucket_queue<Visitor>;
 };
-template <typename Visitor>
-struct bucket_or_stub<Visitor, false> {
-  struct stub {
-    explicit stub(order_tiebreak) {}
-  };
-  using type = stub;
-};
-}  // namespace detail
 
-/// The local queue used by visitor_queue: picks the container per
-/// `queue_impl` at construction — buckets whenever the visitor exposes a
-/// priority_key() (queue_impl::automatic), the reference heap otherwise
-/// or on request.
+/// The local queue used by visitor_queue: the visitor's container plus
+/// the memory-ledger charge.  Benches and tests that compare containers
+/// use bucket_queue and heap_queue directly.
 template <typename Visitor>
 class local_queue {
  public:
-  static constexpr bool bucketable = keyed_visitor<Visitor>;
+  explicit local_queue(order_tiebreak mode) : q_(mode) {}
 
-  local_queue(queue_impl impl, order_tiebreak mode)
-      : use_bucket_(resolve(impl)), heap_(mode), bucket_(mode) {}
-
-  [[nodiscard]] queue_impl selected() const noexcept {
-    return use_bucket_ ? queue_impl::bucket : queue_impl::heap;
-  }
-
-  [[nodiscard]] bool empty() const noexcept {
-    if constexpr (bucketable) {
-      if (use_bucket_) return bucket_.empty();
-    }
-    return heap_.empty();
-  }
-  [[nodiscard]] std::size_t size() const noexcept {
-    if constexpr (bucketable) {
-      if (use_bucket_) return bucket_.size();
-    }
-    return heap_.size();
-  }
+  [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
   void push(const Visitor& v) {
-    if constexpr (bucketable) {
-      if (use_bucket_) {
-        bucket_.push(v);
-        sync_mem();
-        return;
-      }
-    }
-    heap_.push(v);
+    q_.push(v);
     sync_mem();
   }
-  /// Non-const: the bucket variant lazily sorts staged pushes here.
-  [[nodiscard]] const Visitor& top() {
-    if constexpr (bucketable) {
-      if (use_bucket_) return bucket_.top();
-    }
-    return heap_.top();
-  }
+  /// Non-const: the bucket container lazily sorts staged pushes here.
+  [[nodiscard]] const Visitor& top() { return q_.top(); }
   void pop() {
-    if constexpr (bucketable) {
-      if (use_bucket_) {
-        bucket_.pop();
-        sync_mem();
-        return;
-      }
-    }
-    heap_.pop();
+    q_.pop();
     sync_mem();
   }
 
  private:
-  static bool resolve(queue_impl impl) {
-    switch (impl) {
-      case queue_impl::heap:
-        return false;
-      case queue_impl::bucket:
-        assert(bucketable && "queue_impl::bucket needs a keyed visitor");
-        return bucketable;
-      case queue_impl::automatic:
-        return bucketable;
-    }
-    return false;
-  }
-
   /// Ledger sync (mem_subsystem::queue_buckets): a page-quantized
   /// estimate of live entries across staged runs, the spill heap, and the
   /// heap fallback alike.  Quantizing means the common push/pop is one
@@ -533,9 +471,7 @@ class local_queue {
     mem_.set((bytes + kMemQuantum - 1) & ~(kMemQuantum - 1));
   }
 
-  bool use_bucket_;
-  heap_queue<Visitor> heap_;
-  typename detail::bucket_or_stub<Visitor>::type bucket_;
+  typename queue_container<Visitor>::type q_;
   obs::mem_tracker mem_{obs::mem_subsystem::queue_buckets};
 };
 

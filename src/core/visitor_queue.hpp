@@ -51,11 +51,6 @@ struct queue_config {
   /// Local visitors executed between mailbox polls.
   int batch_size = 64;
   order_tiebreak tiebreak = order_tiebreak::vertex_locality;
-  /// Local-queue container (core/local_queue.hpp): `automatic` picks the
-  /// bucketed queue for visitors with an integral priority_key() and the
-  /// reference heap otherwise; `heap`/`bucket` force one (benches and
-  /// equivalence tests).
-  queue_impl impl = queue_impl::automatic;
   /// Fault injection for this traversal (runtime/fault.hpp): the stall
   /// knobs make this rank sleep mid-traversal between poll iterations,
   /// deterministically per (faults.seed, rank, iteration).  Transport
@@ -236,9 +231,9 @@ class visitor_queue {
   State* state_;
   queue_config cfg_;
   mailbox::routed_mailbox mailbox_;
-  /// Smallest (priority, tie-key) first; container per cfg_.impl — see
-  /// core/local_queue.hpp for the bucket/heap split.
-  local_queue<Visitor> local_queue_{cfg_.impl, cfg_.tiebreak};
+  /// Smallest (priority, tie-key) first; the container follows the
+  /// visitor type — see core/local_queue.hpp for the bucket/heap split.
+  local_queue<Visitor> local_queue_{cfg_.tiebreak};
   traversal_stats stats_;
   traversal_observer::history observed_;
 };

@@ -1,11 +1,10 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_map>
 
 #include "gen/generators.hpp"
-
+#include "obs/mem.hpp"
 #include "sort/sample_sort.hpp"
 
 namespace sfg::graph {
@@ -15,32 +14,27 @@ namespace {
 using gen::by_src_dst;
 using gen::edge64;
 
-/// Boundary descriptor gathered from every rank after the global sort.
-struct chunk_bounds {
-  std::uint64_t first_src = 0;
-  std::uint64_t last_src = 0;
-  std::uint32_t has_edges = 0;
+/// One owner's report of a local source: sent to the vertex's directory
+/// rank and, for a split vertex, replicated to every rank.
+struct owner_report {
+  std::uint64_t global_id;
+  std::uint64_t locator_bits;  ///< (reporting rank, its slot)
+  std::uint64_t count;         ///< edges in the reporter's slice
 };
 
-/// Wire records for the directory exchange.
-struct dir_insert {
-  std::uint64_t global_id;
-  std::uint64_t locator_bits;
-};
+/// Ascending (gid, owner): the owner rank is a locator's top bits.
+bool by_gid_owner(const owner_report& a, const owner_report& b) {
+  return a.global_id != b.global_id ? a.global_id < b.global_id
+                                    : a.locator_bits < b.locator_bits;
+}
+
+/// Wire records for sink discovery.
 struct dir_request {
   std::uint64_t global_id;
 };
 struct dir_reply {
   std::uint64_t global_id;
   std::uint64_t locator_bits;
-};
-struct split_count {
-  std::uint64_t global_id;
-  std::uint64_t count;
-};
-struct split_master {
-  std::uint64_t global_id;
-  std::uint64_t master_slot;
 };
 
 /// Drop duplicate edges across rank boundaries.  Requires a globally
@@ -69,18 +63,55 @@ void dedup_across_boundaries(runtime::comm& c, std::vector<edge64>& edges) {
   }
 }
 
+/// edge_list placement (paper §III-A1): global sample sort, deduplication,
+/// then exactly floor/ceil(|E|/p) edges per rank.
+std::vector<edge64> place_sorted_chunks(runtime::comm& c,
+                                        std::vector<edge64> edges,
+                                        bool remove_duplicates) {
+  edges = sort::sample_sort(c, std::move(edges), by_src_dst{});
+  if (remove_duplicates) {
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    dedup_across_boundaries(c, edges);
+  }
+  return sort::rebalance_even(c, std::move(edges));
+}
+
+/// dbh/hdrf/sne placement: every rank gathers the cleaned stream, sorts
+/// and deduplicates it identically, runs the deterministic place() pass
+/// (partitioner.hpp) and keeps its own edges.  O(|E|) scratch per rank.
+std::vector<edge64> place_replicated(runtime::comm& c,
+                                     std::vector<edge64> edges,
+                                     const graph_build_config& cfg) {
+  std::vector<edge64> stream =
+      c.all_gatherv(std::span<const edge64>(edges), nullptr);
+  edges.clear();
+  edges.shrink_to_fit();
+  // Charged to builder_scratch so `sfg_obs mem` attributes the spike to
+  // construction; the tracker releases it when placement returns.
+  obs::mem_tracker scratch_mem{obs::mem_subsystem::builder_scratch};
+  scratch_mem.set(stream.capacity() * sizeof(edge64));
+  std::sort(stream.begin(), stream.end(), by_src_dst{});
+  if (cfg.remove_duplicates) {
+    stream.erase(std::unique(stream.begin(), stream.end()), stream.end());
+  }
+  const std::vector<int> owner =
+      make_partitioner(cfg.partitioner)->place(stream, c.size());
+  scratch_mem.set(stream.capacity() * sizeof(edge64) +
+                  owner.capacity() * sizeof(int));
+  // Count first, so the kept edges are allocated once at their final size.
+  edges.reserve(static_cast<std::size_t>(
+      std::count(owner.begin(), owner.end(), c.rank())));
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (owner[i] == c.rank()) edges.push_back(stream[i]);
+  }
+  return edges;
+}
+
 }  // namespace
 
 partition_blueprint build_partition(runtime::comm& c,
                                     std::vector<edge64> edges,
                                     const graph_build_config& cfg) {
-  // Only the edge_list scheme has chunk boundaries for the distributed
-  // pipeline below; every other placement goes through the replicated
-  // streamed path (builder_streamed.cpp).
-  if (cfg.partitioner.kind != partitioner_kind::edge_list) {
-    return build_partition_streamed(c, std::move(edges), cfg);
-  }
-
   const int p = c.size();
   const int rank = c.rank();
 
@@ -90,149 +121,101 @@ partition_blueprint build_partition(runtime::comm& c,
     std::erase_if(edges, [](const edge64& e) { return e.src == e.dst; });
   }
 
-  // ---- phase 2: global sort, exact even partition -------------------------
-  edges = sort::sample_sort(c, std::move(edges), by_src_dst{});
-  if (cfg.remove_duplicates) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    dedup_across_boundaries(c, edges);
-  }
-  edges = sort::rebalance_even(c, std::move(edges));
+  // ---- phase 2: placement, the only per-scheme step -----------------------
+  // Either way this rank ends up holding its edges sorted by (src, dst).
+  edges = cfg.partitioner.kind == partitioner_kind::edge_list
+              ? place_sorted_chunks(c, std::move(edges), cfg.remove_duplicates)
+              : place_replicated(c, std::move(edges), cfg);
 
   partition_blueprint bp;
   bp.rank = rank;
   bp.p = p;
+  bp.scheme = cfg.partitioner.kind;
   bp.total_edges = c.all_reduce(static_cast<std::uint64_t>(edges.size()),
                                 std::plus<>());
 
-  // ---- phase 3: local sources (run-length over the sorted chunk) ----------
-  std::vector<std::uint64_t> src_ids;   // distinct sources, chunk order
+  // ---- phase 3: local sources (run-length over the sorted edges) ----------
   std::vector<std::uint64_t> src_count;
   for (const auto& e : edges) {
-    if (src_ids.empty() || src_ids.back() != e.src) {
-      src_ids.push_back(e.src);
+    if (bp.slot_global_id.empty() || bp.slot_global_id.back() != e.src) {
+      bp.slot_global_id.push_back(e.src);
       src_count.push_back(0);
     }
     ++src_count.back();
   }
-  bp.num_sources = src_ids.size();
+  bp.num_sources = bp.slot_global_id.size();
 
-  // ---- phase 4: split-vertex detection from chunk boundaries --------------
-  chunk_bounds mine;
-  if (!edges.empty()) {
-    mine = {edges.front().src, edges.back().src, 1};
-  }
-  const auto bounds = c.all_gather(mine);
-
-  // Walk non-empty ranks in order; a shared boundary value opens/extends a
-  // span.  Every rank computes the identical table.
-  struct proto_split {
-    std::uint64_t global_id;
-    std::vector<int> owners;
-  };
-  std::vector<proto_split> proto;  // in ascending global order of appearance
+  // ---- phase 4: owner exchange at the directory ---------------------------
+  // Every owner reports each local source to its directory rank, which
+  // sorts the reports by (gid, owner): the min owner's locator is the
+  // master and the directory entry, the slice lengths sum to the global
+  // degree, and a vertex with two or more owners is split.
+  std::unordered_map<std::uint64_t, std::uint64_t> directory;
   {
-    int prev = -1;  // previous non-empty rank
-    for (int r = 0; r < p; ++r) {
-      if (bounds[static_cast<std::size_t>(r)].has_edges == 0) continue;
-      if (prev >= 0) {
-        const auto& a = bounds[static_cast<std::size_t>(prev)];
-        const auto& b = bounds[static_cast<std::size_t>(r)];
-        if (a.last_src == b.first_src) {
-          if (!proto.empty() && proto.back().global_id == a.last_src &&
-              proto.back().owners.back() == prev) {
-            proto.back().owners.push_back(r);
-          } else {
-            proto.push_back({a.last_src, {prev, r}});
-          }
-        }
+    std::vector<std::vector<owner_report>> reports(static_cast<std::size_t>(p));
+    for (std::size_t i = 0; i < bp.num_sources; ++i) {
+      const std::uint64_t gid = bp.slot_global_id[i];
+      reports[static_cast<std::size_t>(directory_rank(gid, p))].push_back(
+          {gid, vertex_locator(rank, i).bits(), src_count[i]});
+    }
+    std::vector<owner_report> held;
+    for (const auto& batch : c.all_to_allv(reports)) {
+      held.insert(held.end(), batch.begin(), batch.end());
+    }
+    std::sort(held.begin(), held.end(), by_gid_owner);
+    directory.reserve(held.size());
+    std::vector<owner_report> split_reports;
+    for (std::size_t i = 0, j = 0; i < held.size(); i = j) {
+      while (j < held.size() && held[j].global_id == held[i].global_id) ++j;
+      directory.emplace(held[i].global_id, held[i].locator_bits);
+      if (j - i > 1) {
+        split_reports.insert(split_reports.end(), held.begin() + i,
+                             held.begin() + j);
       }
-      prev = r;
     }
-  }
 
-  auto slot_of_source = [&](std::uint64_t gid) -> std::uint64_t {
-    const auto it = std::lower_bound(src_ids.begin(), src_ids.end(), gid);
-    assert(it != src_ids.end() && *it == gid);
-    return static_cast<std::uint64_t>(it - src_ids.begin());
-  };
-
-  // Masters publish their slot for each split vertex; every rank holding a
-  // slice publishes its local edge count so global degrees can be summed.
-  std::vector<split_master> my_masters;
-  std::vector<split_count> my_counts;
-  for (const auto& ps : proto) {
-    const bool held_here =
-        std::find(ps.owners.begin(), ps.owners.end(), rank) != ps.owners.end();
-    if (!held_here) continue;
-    const std::uint64_t slot = slot_of_source(ps.global_id);
-    if (ps.owners.front() == rank) {
-      my_masters.push_back({ps.global_id, slot});
+    // Replicate every split vertex's reports; each rank folds them into
+    // the identical split table, ascending by gid.
+    auto all_split =
+        c.all_gatherv(std::span<const owner_report>(split_reports), nullptr);
+    std::sort(all_split.begin(), all_split.end(), by_gid_owner);
+    for (std::size_t i = 0; i < all_split.size();) {
+      split_entry e;
+      e.global_id = all_split[i].global_id;
+      e.locator_bits = all_split[i].locator_bits;
+      for (; i < all_split.size() && all_split[i].global_id == e.global_id;
+           ++i) {
+        e.global_degree += all_split[i].count;
+        e.owners.push_back(
+            vertex_locator::from_bits(all_split[i].locator_bits).owner());
+      }
+      bp.split_table.push_back(std::move(e));
     }
-    my_counts.push_back({ps.global_id, src_count[slot]});
-  }
-  const auto all_masters =
-      c.all_gatherv(std::span<const split_master>(my_masters), nullptr);
-  const auto all_counts =
-      c.all_gatherv(std::span<const split_count>(my_counts), nullptr);
-
-  std::unordered_map<std::uint64_t, std::uint64_t> split_master_slot;
-  for (const auto& m : all_masters) split_master_slot[m.global_id] = m.master_slot;
-  std::unordered_map<std::uint64_t, std::uint64_t> split_degree;
-  for (const auto& sc : all_counts) split_degree[sc.global_id] += sc.count;
-
-  std::unordered_map<std::uint64_t, vertex_locator> split_locator;
-  bp.split_table.reserve(proto.size());
-  for (auto& ps : proto) {
-    split_entry e;
-    e.global_id = ps.global_id;
-    const vertex_locator loc(ps.owners.front(),
-                             split_master_slot.at(ps.global_id));
-    e.locator_bits = loc.bits();
-    e.global_degree = split_degree.at(ps.global_id);
-    e.owners = std::move(ps.owners);
-    split_locator.emplace(e.global_id, loc);
-    bp.split_table.push_back(std::move(e));
   }
 
   // ---- phase 5: slot metadata for sources ---------------------------------
+  // Sources and the split table both ascend by gid: a split vertex's slot
+  // reads its master locator and global degree from the table.
   bp.csr_offsets.resize(bp.num_sources + 1, 0);
-  for (std::size_t i = 0; i < bp.num_sources; ++i) {
-    bp.csr_offsets[i + 1] = bp.csr_offsets[i] + src_count[i];
-  }
-  bp.slot_global_id = src_ids;
   bp.slot_locator_bits.resize(bp.num_sources);
   bp.slot_degree.resize(bp.num_sources);
   std::uint64_t mastered_sources = 0;
+  auto split = bp.split_table.cbegin();
   for (std::size_t i = 0; i < bp.num_sources; ++i) {
-    if (const auto it = split_locator.find(src_ids[i]);
-        it != split_locator.end()) {
-      bp.slot_locator_bits[i] = it->second.bits();
-      bp.slot_degree[i] = split_degree.at(src_ids[i]);
-      if (it->second.owner() == rank) ++mastered_sources;
-    } else {
-      bp.slot_locator_bits[i] = vertex_locator(rank, i).bits();
-      bp.slot_degree[i] = src_count[i];
+    bp.csr_offsets[i + 1] = bp.csr_offsets[i] + src_count[i];
+    const std::uint64_t gid = bp.slot_global_id[i];
+    while (split != bp.split_table.cend() && split->global_id < gid) ++split;
+    const bool is_split =
+        split != bp.split_table.cend() && split->global_id == gid;
+    bp.slot_locator_bits[i] =
+        is_split ? split->locator_bits : vertex_locator(rank, i).bits();
+    bp.slot_degree[i] = is_split ? split->global_degree : src_count[i];
+    if (vertex_locator::from_bits(bp.slot_locator_bits[i]).owner() == rank) {
       ++mastered_sources;
     }
   }
 
-  // ---- phase 6: directory build (masters register their vertices) ---------
-  std::vector<std::vector<dir_insert>> inserts(static_cast<std::size_t>(p));
-  for (std::size_t i = 0; i < bp.num_sources; ++i) {
-    const vertex_locator loc = vertex_locator::from_bits(bp.slot_locator_bits[i]);
-    if (loc.owner() != rank) continue;  // replicas do not register
-    const int d = directory_rank(src_ids[i], p);
-    inserts[static_cast<std::size_t>(d)].push_back(
-        {src_ids[i], bp.slot_locator_bits[i]});
-  }
-  std::unordered_map<std::uint64_t, std::uint64_t> directory;
-  for (const auto& batch : c.all_to_allv(inserts)) {
-    for (const auto& ins : batch) {
-      directory.emplace(ins.global_id, ins.locator_bits);
-    }
-  }
-
-  // ---- phase 7: target relabel + sink discovery ---------------------------
+  // ---- phase 6: target relabel + sink discovery ---------------------------
   // Distinct targets, then one lookup round; unknown ids become sinks
   // owned (and slotted) at their directory rank.
   std::vector<std::uint64_t> distinct_targets;
@@ -316,12 +299,11 @@ partition_blueprint build_partition(runtime::comm& c,
     }
   }
 
-  // ---- phase 8: totals -----------------------------------------------------
   bp.total_vertices = c.all_reduce(
       mastered_sources + static_cast<std::uint64_t>(bp.num_sinks),
       std::plus<>());
 
-  // ---- phase 9: ghost selection (paper §IV-B) ------------------------------
+  // ---- phase 7: ghost selection (paper §IV-B) ------------------------------
   if (cfg.num_ghosts > 0) {
     std::unordered_map<std::uint64_t, std::uint64_t> remote_in_degree;
     for (const auto bits : bp.adj_bits) {
@@ -342,7 +324,7 @@ partition_blueprint build_partition(runtime::comm& c,
     for (const auto& [count, bits] : cand) bp.ghost_locator_bits.push_back(bits);
   }
 
-  // ---- phase 10: persist this rank's directory shard -----------------------
+  // ---- phase 8: persist this rank's directory shard ------------------------
   bp.directory.assign(directory.begin(), directory.end());
   std::sort(bp.directory.begin(), bp.directory.end());
 

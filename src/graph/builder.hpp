@@ -1,20 +1,28 @@
 /// \file builder.hpp
-/// Construction pipeline for the edge-list partitioned distributed graph
-/// (paper §III-A1):
+/// Construction pipeline for the distributed graph (paper §III-A1).  Every
+/// partitioner runs the same pipeline; only phase 2 depends on the scheme:
 ///
 ///   1. (optional) symmetrize, drop self loops
-///   2. globally sort the edge list by (src, dst) — sample sort
-///   3. (optional) global deduplication, then exact re-balance so every
-///      rank holds floor/ceil(|E|/p) edges
-///   4. detect *split vertices*: sources whose run of edges crosses rank
-///      boundaries; build the replicated split table with each vertex's
-///      owner chain (min_owner..max_owner) and master slot
-///   5. assign local slots (sources in chunk order, then hashed-in sinks),
-///      build the hash-distributed vertex directory, relabel every edge
-///      target to an owner-encoded vertex_locator
-///   6. select up to k ghost candidates per rank: the remote targets with
+///   2. placement: the edges this rank holds, sorted by (src, dst).
+///      edge_list sample-sorts globally, deduplicates, and re-balances so
+///      every rank holds floor/ceil(|E|/p) edges; dbh/hdrf/sne gather the
+///      cleaned stream on every rank and keep what place() assigns here
+///   3. local sources: run-length over the sorted edges, in slot order
+///   4. owner exchange: every rank reports (vertex, its locator, slice
+///      length) for each local source to the vertex's directory rank,
+///      which makes the minimum owner the master and directory entry and
+///      sums the global degree; one all_gatherv replicates the split table
+///      (every vertex with two or more owners, with its owner chain)
+///   5. slot metadata: replica slots read their master locator and global
+///      degree from the split table
+///   6. sink discovery through the hash-distributed directory (unknown
+///      targets are slotted after the sources at their directory rank),
+///      then every edge target is relabeled to its master locator and
+///      each row sorted
+///   7. select up to k ghost candidates per rank: the remote targets with
 ///      the highest *local* in-degree (paper §IV-B: ghosts are each
 ///      partition's local view of remote hubs; never synchronized)
+///   8. keep this rank's directory shard, sorted by gid
 ///
 /// The result is a plain-data `partition_blueprint` per rank; wrap it in
 /// `distributed_graph<Store>` with the edge storage of your choice
@@ -50,9 +58,8 @@ struct graph_build_config {
   /// in DRAM even for external graphs (semi-external model).
   bool make_weights = false;
   std::uint32_t max_weight = 255;  ///< weights uniform in [1, max_weight]
-  /// Edge placement strategy (partitioner.hpp).  The default edge_list
-  /// kind takes the paper's distributed sort path; every other kind is
-  /// built by the replicated streamed path (build_partition_streamed).
+  /// Edge placement strategy (partitioner.hpp): the only step of
+  /// build_partition that differs between schemes.
   partitioner_options partitioner{};
 };
 
@@ -68,9 +75,9 @@ inline std::uint32_t edge_weight_of(std::uint64_t u, std::uint64_t v,
 }
 
 /// One replicated split-table entry: a vertex whose adjacency list spans
-/// several consecutive (non-empty) partitions.  There are at most p-1 of
-/// these globally (paper: "each partition contains at most two split
-/// adjacency lists"), so full replication is cheap.
+/// several partitions.  Under edge_list there are at most p-1 of these
+/// globally (paper: "each partition contains at most two split adjacency
+/// lists"), so full replication is cheap; the other schemes split more.
 struct split_entry {
   std::uint64_t global_id = 0;
   std::uint64_t locator_bits = 0;  ///< master locator (min_owner, slot)
@@ -112,22 +119,12 @@ struct partition_blueprint {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> directory;
 };
 
-/// Collective: every rank passes its slice of the global edge list.
-/// Dispatches on cfg.partitioner.kind: edge_list runs the distributed
-/// sort pipeline above; dbh/hdrf/sne run build_partition_streamed.
+/// Collective: every rank passes its slice of the global edge list and
+/// gets its blueprint from the pipeline above.  dbh/hdrf/sne placement
+/// gathers the whole cleaned stream on every rank, O(|E|) memory per rank.
 partition_blueprint build_partition(runtime::comm& c,
                                     std::vector<gen::edge64> edges,
                                     const graph_build_config& cfg);
-
-/// Collective alternative pipeline for arbitrary partitioners
-/// (builder_streamed.cpp): gathers the cleaned global edge stream on
-/// every rank, runs the (deterministic) partitioner pass redundantly,
-/// and assembles each rank's blueprint with no further communication.
-/// O(|E|) memory per rank — meant for correctness matrices, ablations,
-/// and modest scales, not the external-memory path.
-partition_blueprint build_partition_streamed(runtime::comm& c,
-                                             std::vector<gen::edge64> edges,
-                                             const graph_build_config& cfg);
 
 /// Directory hash: which rank stores the (global_id -> locator) entry.
 inline int directory_rank(std::uint64_t global_id, int p) {

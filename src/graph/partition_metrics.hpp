@@ -89,7 +89,7 @@ replication_stats measure_replication(const G& g) {
   // them are identified by locator, wherever that locator points.
   std::uint64_t local_source_slots = 0;
   std::uint64_t local_mastered_sources = 0;
-  std::uint64_t local_split_masters = 0;
+  std::uint64_t local_mastered_splits = 0;
   std::unordered_set<std::uint64_t> present;  // locators incident to my edges
   for (std::size_t s = 0; s < g.num_sources(); ++s) {
     if (g.local_out_degree(s) == 0) continue;
@@ -98,7 +98,7 @@ replication_stats measure_replication(const G& g) {
     present.insert(loc.bits());
     if (g.is_master(s)) {
       ++local_mastered_sources;
-      if (g.max_owner(loc) != loc.owner()) ++local_split_masters;
+      if (g.max_owner(loc) != loc.owner()) ++local_mastered_splits;
     }
     g.for_each_out_edge(s, [&](vertex_locator t) { present.insert(t.bits()); });
   }
@@ -115,7 +115,7 @@ replication_stats measure_replication(const G& g) {
   replication_stats r;
   r.sources = sources;
   r.vertices = vertices;
-  r.split_vertices = c.all_reduce(local_split_masters, std::plus<>());
+  r.split_vertices = c.all_reduce(local_mastered_splits, std::plus<>());
   r.chain_rf = sources == 0 ? 1.0
                             : static_cast<double>(source_replicas) /
                                   static_cast<double>(sources);

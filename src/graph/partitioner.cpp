@@ -64,7 +64,7 @@ class rank_sets {
 // ---------------------------------------------------------------------------
 // edge_list: contiguous floor/ceil chunks of the sorted stream.  Matches
 // sort::rebalance_even exactly (first |E| mod p ranks take one extra), so
-// the streamed path and the distributed sort path agree edge for edge.
+// this pass and the builder's distributed sort agree edge for edge.
 // ---------------------------------------------------------------------------
 class edge_list_partitioner final : public edge_partitioner {
  public:

@@ -26,9 +26,13 @@
 ///
 /// The contract every partitioner implements: a *deterministic, pure*
 /// pass over the globally sorted (and, when configured, deduplicated)
-/// edge stream returning the owner rank of every edge.  Determinism is
-/// load-bearing — the streamed builder replicates the pass on every rank
-/// instead of exchanging assignments (see builder.cpp).
+/// edge stream returning the owner rank of every edge.  Placement is the
+/// only per-scheme step of build_partition (builder.hpp): dbh/hdrf/sne
+/// run place() redundantly on every rank over the replicated stream, so
+/// determinism is load-bearing; edge_list reaches the same chunks with
+/// the distributed sample sort.  Everything after placement (owner
+/// chains, split table, directory, sinks, ghosts) is derived once, from
+/// the (vertex, owner) reports of whichever edges each rank holds.
 ///
 /// What downstream layers may assume about ANY partitioner's output
 /// (pinned by tests/graph/partition_property_test.cpp):
@@ -89,9 +93,9 @@ struct partitioner_options {
 ///
 /// `stream` is the full cleaned edge list, globally sorted by (src, dst)
 /// — identical on every rank of the collective build.  Implementations
-/// must be deterministic functions of (stream, p, options): the streamed
-/// builder runs place() redundantly per rank and keeps only the local
-/// share.  Returned ranks must lie in [0, p).
+/// must be deterministic functions of (stream, p, options): the builder
+/// runs place() redundantly per rank and keeps only the local share.
+/// Returned ranks must lie in [0, p).
 class edge_partitioner {
  public:
   virtual ~edge_partitioner() = default;

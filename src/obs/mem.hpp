@@ -3,7 +3,7 @@
 /// bytes-resident sibling of the flight/span recorders.  Every big
 /// allocator in the engine — mailbox aggregation arenas, the page-cache
 /// frame pool, the bucket-queue rings and spill heap, the
-/// dual-representation frontier, the streamed-builder gather buffers, the
+/// dual-representation frontier, the replicated placement stream, the
 /// SNE edge cache, and the obs rings themselves — charges what it holds
 /// against a fixed subsystem enum, and releases it when the capacity
 /// leaves.  The ledger answers the question the paper's premise makes
@@ -64,7 +64,7 @@ enum class mem_subsystem : std::uint32_t {
   cache_frames,       ///< page-cache frame pool backing buffers
   queue_buckets,      ///< bucket-queue rings, staged runs, spill heap
   frontier,           ///< dual-representation frontier (bitmap + sparse)
-  builder_scratch,    ///< streamed-builder gathered stream + owner scratch
+  builder_scratch,    ///< replicated placement: gathered stream + owners
   partitioner_cache,  ///< SNE bounded edge cache + endpoint index
   obs,                ///< flight/span rings, time-series samplers
   other,              ///< anything not yet attributed

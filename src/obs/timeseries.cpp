@@ -49,8 +49,25 @@ constexpr const char* kTrackedKey[kTsTracked] = {
     "bytes_requested",   "dev_bytes_read",   "dev_bytes_written",
 };
 
-/// One rank's sampler: prev-value state for diffing, the sample ring and
-/// the open JSONL stream.  Owned by the global table, touched only by the
+/// One rate sample: the JSONL line is this struct spelled out with names.
+struct ts_sample {
+  std::uint64_t seq = 0;          ///< per-rank sample ordinal
+  std::uint64_t ts_us = 0;        ///< steady-clock microseconds, monotonic
+  std::uint64_t interval_us = 0;  ///< actual elapsed time this sample covers
+  double phase_frac[kPhaseCount] = {};  ///< self-time fractions, sum <= 1
+  double queue_depth = 0;         ///< live straggler gauges (this rank)
+  double inflight_records = 0;    ///< may be negative (net receiver)
+  double term_epoch = 0;
+  double executed = 0;            ///< live visitors-executed gauge
+  double executed_rate = 0;       ///< visitors/s on this rank
+  double mem_accounted = 0;       ///< this rank's accounted bytes (mem.hpp)
+  double mem_rss = 0;             ///< process RSS sampled with this line
+  double rate[kTsTracked] = {};   ///< tracked registry counters, per second
+  std::uint64_t total[kTsTracked] = {};  ///< their absolute values
+};
+
+/// One rank's sampler: prev-value state for diffing and the open JSONL
+/// stream.  Owned by the global table, touched only by the
 /// owning rank's thread (same single-writer discipline as flight.cpp).
 struct ts_sampler {
   int rank = 0;
@@ -67,10 +84,9 @@ struct ts_sampler {
   gauge* g_epoch = nullptr;
   gauge* g_executed = nullptr;
 
-  ts_sample ring[kTsRingCapacity];
   std::FILE* out = nullptr;
   std::string line;  ///< reused serialization buffer (steady-state alloc-free)
-  mem_tracker mem{mem_subsystem::obs};  ///< charges the sampler's own ring
+  mem_tracker mem{mem_subsystem::obs};  ///< charges the sampler itself
 
   ~ts_sampler() {
     if (out != nullptr) std::fclose(out);
@@ -125,7 +141,7 @@ ts_sampler* sampler_for_rank(int rank) {
     s->out = std::fopen(path.c_str(), "w");
     if (s->out == nullptr) {
       SFG_LOG_WARN << "timeseries: cannot open " << path
-                   << "; sampling to ring only";
+                   << "; samples are dropped";
     }
     s->last_ns = now_ns();
     g.samplers[idx] = std::move(s);
@@ -285,7 +301,6 @@ void take_sample(ts_sampler& s, std::uint64_t now) {
   m.mem_accounted = static_cast<double>(mem_rank_accounted_current());
   m.mem_rss = static_cast<double>(mem_sample_rss().rss_bytes);
 
-  s.ring[s.recorded % kTsRingCapacity] = m;
   ++s.recorded;
   s.last_ns = now;
   s.last_ts_us = m.ts_us;
@@ -355,20 +370,6 @@ std::string ts_rank_file(int rank) {
 std::uint64_t ts_samples_recorded() {
   const ts_sampler* s = existing_sampler_for_thread();
   return s != nullptr ? s->recorded : 0;
-}
-
-std::vector<ts_sample> ts_ring_snapshot() {
-  std::vector<ts_sample> out;
-  const ts_sampler* s = existing_sampler_for_thread();
-  if (s == nullptr) return out;
-  const std::uint64_t n =
-      s->recorded < kTsRingCapacity ? s->recorded : kTsRingCapacity;
-  out.reserve(n);
-  const std::uint64_t first = s->recorded - n;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(s->ring[(first + i) % kTsRingCapacity]);
-  }
-  return out;
 }
 
 void ts_clear() {

@@ -10,9 +10,10 @@
 /// elapsed since the rank's last sample, the sampler diffs a fixed set of
 /// registry counters into per-second rates, reads the live straggler
 /// gauges and the rank's phase self-times (as fractions of the elapsed
-/// interval, summing to at most 1), stores the sample in a fixed ring,
-/// and appends one `sfg-timeseries/1` JSONL line to the rank's file under
-/// SFG_TS_DIR (flushed per line, so `sfg_obs top` and `tail -f` see it live).
+/// interval, summing to at most 1), and appends one `sfg-timeseries/1`
+/// JSONL line to the rank's file under SFG_TS_DIR (flushed per line, so
+/// `sfg_obs top` and `tail -f` see it live).  The file is the product;
+/// the sampler keeps no samples in memory.
 /// ts_flush() forces a final sample at traversal end, so even a traversal
 /// shorter than the interval leaves at least one line per rank.
 ///
@@ -20,9 +21,9 @@
 /// relaxed load and one predictable branch — no clock read, no allocation
 /// (the counting-new test covers it).  Enabled, the per-poll cost between
 /// samples is one clock read; taking a sample writes one line.  The
-/// sampler itself is allocation-free in the steady state: the ring is
-/// fixed, counter/gauge handles are resolved once, and the line buffer's
-/// capacity persists across samples.
+/// sampler itself is allocation-free in the steady state: counter/gauge
+/// handles are resolved once, and the line buffer's capacity persists
+/// across samples.
 ///
 /// Configured by SFG_TS_INTERVAL_MS and SFG_TS_DIR (metrics.hpp lists
 /// every switch); rank r writes <dir>/sfg_ts_rank<r>.jsonl.
@@ -40,27 +41,6 @@ namespace sfg::obs {
 /// Registry counters the sampler tracks (ts_tracked_name to enumerate).
 inline constexpr std::size_t kTsTracked = 12;
 [[nodiscard]] const char* ts_tracked_name(std::size_t i) noexcept;
-
-/// Samples kept in memory per rank (the JSONL file keeps everything).
-inline constexpr std::size_t kTsRingCapacity = 64;
-
-/// One rate sample, as stored in the in-memory ring.  The JSONL line is
-/// this struct spelled out with names.
-struct ts_sample {
-  std::uint64_t seq = 0;          ///< per-rank sample ordinal
-  std::uint64_t ts_us = 0;        ///< steady-clock microseconds, monotonic
-  std::uint64_t interval_us = 0;  ///< actual elapsed time this sample covers
-  double phase_frac[kPhaseCount] = {};  ///< self-time fractions, sum <= 1
-  double queue_depth = 0;         ///< live straggler gauges (this rank)
-  double inflight_records = 0;    ///< may be negative (net receiver)
-  double term_epoch = 0;
-  double executed = 0;            ///< live visitors-executed gauge
-  double executed_rate = 0;       ///< visitors/s on this rank
-  double mem_accounted = 0;       ///< this rank's accounted bytes (mem.hpp)
-  double mem_rss = 0;             ///< process RSS sampled with this line
-  double rate[kTsTracked] = {};   ///< tracked registry counters, per second
-  std::uint64_t total[kTsTracked] = {};  ///< their absolute values
-};
 
 namespace detail {
 
@@ -92,11 +72,9 @@ void set_ts_dir(std::string dir);
 /// The calling rank's JSONL path under the current directory config.
 [[nodiscard]] std::string ts_rank_file(int rank);
 
-/// Test hooks, all for the calling thread's rank: samples ever taken
-/// (including ones overwritten in the ring), and the ring contents
-/// oldest-to-newest.  A rank with no sampler reports 0 / empty.
+/// Test hook: samples the calling thread's rank has taken (0 for a rank
+/// with no sampler).
 [[nodiscard]] std::uint64_t ts_samples_recorded();
-[[nodiscard]] std::vector<ts_sample> ts_ring_snapshot();
 
 /// Drop all samplers (close files).  Next poll under an enabled config
 /// recreates them.

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "core/bfs.hpp"
@@ -45,10 +46,8 @@ template <typename Visitor, typename Make>
 void drive_and_compare(core::order_tiebreak mode, Make make,
                        std::uint64_t seed) {
   std::mt19937_64 rng(seed);
-  core::local_queue<Visitor> bucket(core::queue_impl::bucket, mode);
-  core::local_queue<Visitor> heap(core::queue_impl::heap, mode);
-  ASSERT_EQ(bucket.selected(), core::queue_impl::bucket);
-  ASSERT_EQ(heap.selected(), core::queue_impl::heap);
+  core::bucket_queue<Visitor> bucket(mode);
+  core::heap_queue<Visitor> heap(mode);
 
   // Interleaved pushes and pops in random batch sizes, ending with a
   // full drain: exercises rebase, overflow migration and prefix erasure.
@@ -138,16 +137,11 @@ TEST(bucket_queue, keyed_visitors_opt_in) {
   // Non-integral priorities stay on the heap fallback.
   static_assert(!core::keyed_visitor<core::cc_visitor>);
   static_assert(!core::keyed_visitor<core::pagerank_visitor>);
-  static_assert(!core::local_queue<core::cc_visitor>::bucketable);
-}
-
-TEST(bucket_queue, automatic_selects_bucket_for_keyed) {
-  core::local_queue<core::bfs_visitor> q(core::queue_impl::automatic,
-                                         core::order_tiebreak::vertex_locality);
-  EXPECT_EQ(q.selected(), core::queue_impl::bucket);
-  core::local_queue<core::cc_visitor> qc(
-      core::queue_impl::automatic, core::order_tiebreak::vertex_locality);
-  EXPECT_EQ(qc.selected(), core::queue_impl::heap);
+  // The local queue's container follows the visitor type.
+  static_assert(std::is_same_v<core::queue_container<core::bfs_visitor>::type,
+                               core::bucket_queue<core::bfs_visitor>>);
+  static_assert(std::is_same_v<core::queue_container<core::cc_visitor>::type,
+                               core::heap_queue<core::cc_visitor>>);
 }
 
 TEST(bucket_queue, bfs_matches_heap) {
@@ -195,8 +189,8 @@ TEST(bucket_queue, bfs_validate_matches_heap) {
 /// far keys that start in the overflow heap and migrate in.
 TEST(bucket_queue, bulk_load_then_full_drain) {
   std::mt19937_64 rng(99);
-  core::local_queue<core::sssp_visitor> q(
-      core::queue_impl::bucket, core::order_tiebreak::vertex_locality);
+  core::bucket_queue<core::sssp_visitor> q(
+      core::order_tiebreak::vertex_locality);
   for (int i = 0; i < 20000; ++i) {
     q.push({rand_locator(rng), rng() % (1u << 20), rng()});
   }

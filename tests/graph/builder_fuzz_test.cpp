@@ -1,12 +1,15 @@
 /// Randomized property tests for the partition builder: for arbitrary
-/// edge lists (random density, duplicates, self loops, directed or not)
-/// and any rank count, the distributed graph must reconstruct exactly the
-/// serially-cleaned edge list, stay exactly edge-balanced, and keep its
-/// split/locator/directory invariants.
+/// edge lists (random density, duplicates, self loops, directed or not),
+/// any rank count and every partitioner, the distributed graph must
+/// reconstruct exactly the serially-cleaned edge list and keep its
+/// split/locator/directory invariants; edge_list must also stay exactly
+/// edge-balanced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "gen/generators.hpp"
 #include "graph/distributed_graph.hpp"
@@ -59,17 +62,18 @@ std::vector<edge64> reference_clean(std::vector<edge64> edges,
   return edges;
 }
 
-class BuilderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+class BuilderFuzz : public ::testing::TestWithParam<
+                        std::tuple<std::uint64_t, partitioner_kind>> {};
 
 TEST_P(BuilderFuzz, ReconstructionAndInvariants) {
-  const std::uint64_t seed = GetParam();
+  const auto [seed, kind] = GetParam();
   auto rng = util::xoshiro256(seed ^ 0xf00d);
   const int p = 1 + static_cast<int>(rng.uniform_below(8));
   const bool undirected = rng.bernoulli(0.5);
   const auto raw = random_edges(seed);
   const auto expected = reference_clean(raw, undirected);
 
-  launch(p, [&](comm& c) {
+  launch(p, [&, seed = seed, kind = kind](comm& c) {
     const auto range = gen::slice_for_rank(raw.size(), c.rank(), p);
     std::vector<edge64> mine(
         raw.begin() + static_cast<std::ptrdiff_t>(range.begin),
@@ -77,13 +81,15 @@ TEST_P(BuilderFuzz, ReconstructionAndInvariants) {
     graph_build_config cfg;
     cfg.undirected = undirected;
     cfg.num_ghosts = static_cast<std::uint32_t>(seed % 17);
+    cfg.partitioner.kind = kind;
     auto g = build_in_memory_graph(c, mine, cfg);
 
-    // Exact balance.
-    const std::uint64_t local = g.blueprint().adj_bits.size();
-    const auto base = g.total_edges() / static_cast<std::uint64_t>(p);
-    EXPECT_GE(local, g.total_edges() == 0 ? 0 : base);
-    EXPECT_LE(local, base + 1);
+    if (kind == partitioner_kind::edge_list) {  // exact balance
+      const std::uint64_t local = g.blueprint().adj_bits.size();
+      const auto base = g.total_edges() / static_cast<std::uint64_t>(p);
+      EXPECT_GE(local, base);
+      EXPECT_LE(local, base + 1);
+    }
 
     // Locator -> gid map and exact edge reconstruction.
     struct pair64 {
@@ -126,8 +132,14 @@ TEST_P(BuilderFuzz, ReconstructionAndInvariants) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BuilderFuzz,
-                         ::testing::Range<std::uint64_t>(1, 25));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BuilderFuzz,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 25),
+                       ::testing::ValuesIn(kAllPartitioners)),
+    [](const ::testing::TestParamInfo<BuilderFuzz::ParamType>& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
+             partitioner_name(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace sfg::graph

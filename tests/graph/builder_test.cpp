@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -111,12 +112,30 @@ std::vector<edge64> reference_clean(std::vector<edge64> edges,
   return edges;
 }
 
-class BuilderP : public ::testing::TestWithParam<int> {};
+/// (world size, partitioner): everything after placement — owner chains,
+/// split table, directory, sinks, ghosts — is one derivation for every
+/// scheme, so its properties are checked under every scheme.
+class BuilderP
+    : public ::testing::TestWithParam<std::tuple<int, partitioner_kind>> {
+ protected:
+  static int world() { return std::get<0>(GetParam()); }
+  /// The default build configuration under this case's partitioner.
+  static graph_build_config config() {
+    graph_build_config cfg;
+    cfg.partitioner.kind = std::get<1>(GetParam());
+    return cfg;
+  }
+};
+
+/// World sizes for the edge_list-only cases, which assert its exact
+/// floor/ceil chunking.
+class EdgeListBuilderP : public ::testing::TestWithParam<int> {};
 
 TEST_P(BuilderP, RmatGraphMatchesSerialReference) {
-  const int p = GetParam();
+  const int p = world();
   const gen::rmat_config rc{.scale = 8, .edge_factor = 8, .seed = 17};
-  const graph_build_config cfg{.num_ghosts = 16};
+  graph_build_config cfg = config();
+  cfg.num_ghosts = 16;
   const auto expected =
       reference_clean(gen::rmat_slice(rc, 0, rc.num_edges()), cfg);
 
@@ -130,7 +149,7 @@ TEST_P(BuilderP, RmatGraphMatchesSerialReference) {
   });
 }
 
-TEST_P(BuilderP, EdgeBalanceIsExact) {
+TEST_P(EdgeListBuilderP, EdgeBalanceIsExact) {
   const int p = GetParam();
   const gen::rmat_config rc{.scale = 9, .edge_factor = 8, .seed = 3};
   launch(p, [&](comm& c) {
@@ -146,12 +165,11 @@ TEST_P(BuilderP, EdgeBalanceIsExact) {
 }
 
 TEST_P(BuilderP, DegreesSumToTotalEdges) {
-  const int p = GetParam();
   const gen::rmat_config rc{.scale = 8, .edge_factor = 8, .seed = 5};
-  launch(p, [&](comm& c) {
+  launch(world(), [&](comm& c) {
     const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
     auto g = build_in_memory_graph(
-        c, gen::rmat_slice(rc, range.begin, range.end), {});
+        c, gen::rmat_slice(rc, range.begin, range.end), config());
     // Sum of global degrees over *master* slots == total directed edges.
     std::uint64_t local_sum = 0;
     for (std::size_t s = 0; s < g.num_slots(); ++s) {
@@ -163,12 +181,11 @@ TEST_P(BuilderP, DegreesSumToTotalEdges) {
 }
 
 TEST_P(BuilderP, SplitVerticesResolveOnEveryOwner) {
-  const int p = GetParam();
   const gen::rmat_config rc{.scale = 8, .edge_factor = 16, .seed = 11};
-  launch(p, [&](comm& c) {
+  launch(world(), [&](comm& c) {
     const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
     auto g = build_in_memory_graph(
-        c, gen::rmat_slice(rc, range.begin, range.end), {});
+        c, gen::rmat_slice(rc, range.begin, range.end), config());
     for (const auto& e : g.split_table()) {
       const auto loc = vertex_locator::from_bits(e.locator_bits);
       EXPECT_EQ(loc.owner(), e.owners.front());
@@ -193,12 +210,11 @@ TEST_P(BuilderP, SplitVerticesResolveOnEveryOwner) {
 }
 
 TEST_P(BuilderP, LocateFindsEveryVertex) {
-  const int p = GetParam();
   const gen::rmat_config rc{.scale = 7, .edge_factor = 8, .seed = 13};
-  launch(p, [&](comm& c) {
+  launch(world(), [&](comm& c) {
     const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
     auto g = build_in_memory_graph(
-        c, gen::rmat_slice(rc, range.begin, range.end), {});
+        c, gen::rmat_slice(rc, range.begin, range.end), config());
     // locate() is collective, so every rank must look up the same gid
     // sequence: gather all mastered gids first.
     struct gid_loc {
@@ -227,11 +243,10 @@ TEST_P(BuilderP, LocateFindsEveryVertex) {
 }
 
 TEST_P(BuilderP, GhostsAreRemoteHubs) {
-  const int p = GetParam();
   const gen::rmat_config rc{.scale = 9, .edge_factor = 16, .seed = 19};
-  launch(p, [&](comm& c) {
+  launch(world(), [&](comm& c) {
     const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
-    graph_build_config cfg;
+    graph_build_config cfg = config();
     cfg.num_ghosts = 8;
     auto g = build_in_memory_graph(
         c, gen::rmat_slice(rc, range.begin, range.end), cfg);
@@ -302,14 +317,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 4)));
 
 TEST_P(BuilderP, DirectedGraphSinksGetSlots) {
-  const int p = GetParam();
-  launch(p, [](comm& c) {
+  launch(world(), [](comm& c) {
     // Star digraph: 0 -> 1..20; vertices 1..20 are pure sinks.
     std::vector<edge64> mine;
     if (c.rank() == 0) {
       for (std::uint64_t t = 1; t <= 20; ++t) mine.push_back({0, t});
     }
-    graph_build_config cfg;
+    graph_build_config cfg = config();
     cfg.undirected = false;
     auto g = build_in_memory_graph(c, mine, cfg);
     EXPECT_EQ(g.total_vertices(), 21u);
@@ -327,13 +341,12 @@ TEST_P(BuilderP, DirectedGraphSinksGetSlots) {
 }
 
 TEST_P(BuilderP, SelfLoopsAndDuplicatesRemoved) {
-  const int p = GetParam();
-  launch(p, [](comm& c) {
+  launch(world(), [](comm& c) {
     std::vector<edge64> mine;
     if (c.rank() == 0) {
       mine = {{1, 1}, {1, 2}, {1, 2}, {1, 2}, {2, 1}, {3, 3}, {2, 3}};
     }
-    auto g = build_in_memory_graph(c, mine, {});  // undirected + cleanup
+    auto g = build_in_memory_graph(c, mine, config());  // undirected + cleanup
     // Unique undirected edges: {1,2}, {2,3} -> 4 directed.
     EXPECT_EQ(g.total_edges(), 4u);
     EXPECT_EQ(g.total_vertices(), 3u);
@@ -341,15 +354,15 @@ TEST_P(BuilderP, SelfLoopsAndDuplicatesRemoved) {
 }
 
 TEST_P(BuilderP, EmptyGraph) {
-  launch(GetParam(), [](comm& c) {
-    auto g = build_in_memory_graph(c, {}, {});
+  launch(world(), [](comm& c) {
+    auto g = build_in_memory_graph(c, {}, config());
     EXPECT_EQ(g.total_edges(), 0u);
     EXPECT_EQ(g.total_vertices(), 0u);
     EXPECT_EQ(g.num_slots(), 0u);
   });
 }
 
-TEST_P(BuilderP, HubDominatedGraphSplitsTheHub) {
+TEST_P(EdgeListBuilderP, HubDominatedGraphSplitsTheHub) {
   // One vertex owns ~all edges; with p > 1 its adjacency list *must* span
   // multiple partitions (the whole point of edge-list partitioning).
   const int p = GetParam();
@@ -383,7 +396,15 @@ TEST_P(BuilderP, HubDominatedGraphSplitsTheHub) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(WorldSizes, BuilderP,
+INSTANTIATE_TEST_SUITE_P(
+    WorldSizes, BuilderP,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 8, 13),
+                       ::testing::ValuesIn(kAllPartitioners)),
+    [](const ::testing::TestParamInfo<BuilderP::ParamType>& info) {
+      return "p" + std::to_string(std::get<0>(info.param)) + "_" +
+             partitioner_name(std::get<1>(info.param));
+    });
+INSTANTIATE_TEST_SUITE_P(WorldSizes, EdgeListBuilderP,
                          ::testing::Values(1, 2, 3, 4, 8, 13));
 
 TEST(Builder, AdjacencyRowsAreSorted) {

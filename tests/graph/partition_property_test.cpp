@@ -279,8 +279,8 @@ TEST_P(PartitionerPropertyP, ReplicationFactorMatchesRecompute) {
   const auto [p, kind] = GetParam();
   const auto edges = degree_sequence_edges(223);
   // Ground truth from the cleaned stream + a fresh partitioner pass —
-  // exactly what the streamed builder consumed (and, for edge_list, what
-  // rebalance_even produces in the distributed pipeline).
+  // exactly the builder's placement (edge_list reaches the same chunks
+  // through the distributed sort and rebalance_even).
   const auto stream = cleaned_reference(edges);
   const auto assignment =
       make_partitioner({.kind = kind})->place(stream, p);

@@ -67,8 +67,8 @@ TEST_P(PlaceInvariants, DeterministicAndInRange) {
     const auto a = part->place(stream, p);
     const auto b = part->place(stream, p);
     ASSERT_EQ(a.size(), stream.size());
-    EXPECT_EQ(a, b) << "place() must be deterministic (the streamed "
-                       "builder replicates it per rank)";
+    EXPECT_EQ(a, b) << "place() must be deterministic (the builder "
+                       "replicates it per rank)";
     for (const int r : a) {
       ASSERT_GE(r, 0);
       ASSERT_LT(r, p);

@@ -1,6 +1,6 @@
-/// Time-series sampler tests (obs/timeseries.hpp): ring wrap-around,
-/// interval gating, forced flush, the JSONL file format, and the shared
-/// validator's positive and negative paths.
+/// Time-series sampler tests (obs/timeseries.hpp): interval gating,
+/// forced flush, the JSONL file format, and the shared validator's
+/// positive and negative paths.
 #include "obs/timeseries.hpp"
 
 #include <gtest/gtest.h>
@@ -63,22 +63,34 @@ TEST(Timeseries, IntervalGatesSampling) {
   EXPECT_EQ(ts_samples_recorded(), 1u);
 }
 
-TEST(Timeseries, RingWrapsKeepingNewestSamples) {
-  ts_fixture fx("ring");
+/// Every line of the calling rank's stream, parsed.
+std::vector<json> read_lines() {
+  std::ifstream in(ts_rank_file(util::thread_rank()));
+  std::vector<json> out;
+  for (std::string line; std::getline(in, line);) {
+    auto parsed = json::parse(line);
+    EXPECT_TRUE(parsed.has_value()) << line;
+    if (parsed) out.push_back(std::move(*parsed));
+  }
+  return out;
+}
+
+TEST(Timeseries, EveryForcedSampleIsOneLine) {
+  ts_fixture fx("lines");
   set_ts_interval_ms(60'000);
-  const std::size_t total = kTsRingCapacity + 10;
+  const std::size_t total = 74;
   for (std::size_t i = 0; i < total; ++i) ts_flush();
   EXPECT_EQ(ts_samples_recorded(), total);
-  const std::vector<ts_sample> ring = ts_ring_snapshot();
-  ASSERT_EQ(ring.size(), kTsRingCapacity);
-  // Oldest-to-newest, contiguous, ending at the last sample taken.
-  EXPECT_EQ(ring.front().seq, total - kTsRingCapacity);
-  EXPECT_EQ(ring.back().seq, total - 1);
-  for (std::size_t i = 1; i < ring.size(); ++i) {
-    EXPECT_EQ(ring[i].seq, ring[i - 1].seq + 1);
-    EXPECT_GT(ring[i].ts_us, ring[i - 1].ts_us)
-        << "ts_us must be strictly monotonic even for back-to-back samples";
+  // One line per sample, seq contiguous from 0; the validator also
+  // requires ts_us to increase strictly, even for back-to-back samples.
+  const std::vector<json> lines = read_lines();
+  ASSERT_EQ(lines.size(), total);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].find("seq")->as_u64(), i);
   }
+  std::vector<std::string> errors;
+  EXPECT_TRUE(ts_validate_file(ts_rank_file(util::thread_rank()), &errors))
+      << (errors.empty() ? "?" : errors.front());
 }
 
 TEST(Timeseries, EmitsValidJsonlThatTheValidatorAccepts) {
@@ -119,13 +131,18 @@ TEST(Timeseries, TrackedCounterDeltasBecomeRates) {
   auto& c = metrics_registry::instance().get_counter(ts_tracked_name(0));
   c.add_raw(1000);
   ts_flush();
-  const std::vector<ts_sample> ring = ts_ring_snapshot();
-  ASSERT_GE(ring.size(), 2u);
-  const ts_sample& last = ring.back();
-  EXPECT_GE(last.total[0], 1000u);
-  EXPECT_GT(last.rate[0], 0.0) << "a counter bump must surface as a rate";
-  for (std::size_t i = 0; i < kTsTracked; ++i) {
-    EXPECT_GE(last.rate[i], 0.0);
+  const std::vector<json> lines = read_lines();
+  ASSERT_EQ(lines.size(), 2u);
+  const json* totals = lines.back().find("totals");
+  const json* rates = lines.back().find("rates");
+  ASSERT_TRUE(totals != nullptr && rates != nullptr);
+  ASSERT_EQ(rates->size(), kTsTracked);
+  const std::string key = totals->items().front().first;
+  EXPECT_GE(totals->find(key)->as_u64(), 1000u);
+  EXPECT_GT(rates->find(key)->as_double(), 0.0)
+      << "a counter bump must surface as a rate";
+  for (const auto& [name, rate] : rates->items()) {
+    EXPECT_GE(rate.as_double(), 0.0) << name;
   }
 }
 

@@ -339,9 +339,26 @@ int with_graph(const args_map& a, const char* command, std::uint32_t ghosts,
   }
   const obs_opts obs(a);
   int rc = 0;
+  bool loaded = true;
   sfg::obs::json cache_heat;
   sfg::runtime::launch(p, [&](sfg::runtime::comm& c) {
-    auto edges = load_edges_distributed(c, path);
+    // A bad input file is the user's error, not a rank fault: runtime::
+    // launch would dump a flight record for it.  The readers call no
+    // collective, so every rank reaches the agreement below.
+    std::vector<sfg::gen::edge64> edges;
+    std::string load_error;
+    try {
+      edges = load_edges_distributed(c, path);
+    } catch (const std::exception& e) {
+      load_error = e.what();
+    }
+    const int bad_rank = c.all_reduce(load_error.empty() ? -1 : c.rank(),
+                                      [](int x, int y) { return std::max(x, y); });
+    if (bad_rank >= 0) {
+      if (c.rank() == bad_rank) std::cerr << "sfg_cli: " << load_error << "\n";
+      if (c.rank() == 0) loaded = false;
+      return;
+    }
     sfg::graph::graph_build_config gcfg{.num_ghosts = ghosts};
     gcfg.partitioner.kind = *kind;
     gcfg.partitioner.hdrf_lambda = a.opt_f64("hdrf-lambda", 1.0);
@@ -370,6 +387,7 @@ int with_graph(const args_map& a, const char* command, std::uint32_t ghosts,
         c.all_reduce(mine, [](int x, int y) { return std::max(x, y); });
     if (c.rank() == 0) rc = worst;
   });
+  if (!loaded) return 1;  // nothing ran, so there is nothing to report
   if (!obs.finish(command, a, em ? &cache_heat : nullptr) && rc == 0) rc = 1;
   return rc;
 }
@@ -569,8 +587,8 @@ int main(int argc, char** argv) {
   }
   const auto a = parse_args(argc, argv, 2, spec);
   if (!a) return usage();
-  // A rank's exception (an unreadable or malformed input file) reaches
-  // here through runtime::launch.
+  // An unreadable file in generate/info, or a rank's fault rethrown by
+  // runtime::launch, reaches here.
   try {
     if (cmd == "generate") return cmd_generate(*a);
     if (cmd == "info") return cmd_info(*a);
