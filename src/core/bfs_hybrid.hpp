@@ -28,10 +28,11 @@
 ///      rank-ordered global frontier bitmap (bit = (owner, local_id));
 ///   2. one all_reduce carries frontier vertex count, frontier edge
 ///      mass, and remaining unvisited edge mass — the α/β inputs;
-///   3. scan (direction per the heuristic), claims through the routed
-///      mailbox — except a claim for a vertex this rank masters, which
-///      is applied where it is made and counted as one record sent and
-///      delivered;
+///   3. scan (direction per the heuristic) through one row walker, so
+///      over external storage a page is pinned once per scan, not once
+///      per row; claims go through the routed mailbox — except a claim
+///      for a vertex this rank masters, which is applied where it is made
+///      and counted as one record sent and delivered;
 ///   4. counting quiescence: loop [pump, flush, all_reduce(sent,
 ///      delivered, busy)] until globally sent == delivered and every
 ///      rank is idle (mailbox drained, inbox empty — delayed/duplicated
@@ -314,10 +315,11 @@ class level_sync_bfs {
   void top_down_scan() {
     const obs::phase_scope vscope(obs::phase::visit);
     const std::size_t sources = graph_->num_sources();
+    auto rows = graph_->rows();
     for (std::size_t s = 0; s < sources; ++s) {
       const graph::vertex_locator v = graph_->locator_of(s);
       if (!word_test(frontier_words_, v)) continue;
-      graph_->for_each_out_edge(s, [&](graph::vertex_locator t) {
+      rows.for_each_out_edge(s, [&](graph::vertex_locator t) {
         if (word_test(visited_, t)) return;  // already claimed, skip traffic
         send_claim(t, v);
       });
@@ -327,10 +329,11 @@ class level_sync_bfs {
   void bottom_up_scan() {
     const obs::phase_scope vscope(obs::phase::visit);
     const std::size_t sources = graph_->num_sources();
+    auto rows = graph_->rows();
     for (std::size_t s = 0; s < sources; ++s) {
       const graph::vertex_locator v = graph_->locator_of(s);
       if (word_test(visited_, v)) continue;
-      graph_->for_each_out_edge_while(s, [&](graph::vertex_locator t) {
+      rows.for_each_out_edge_while(s, [&](graph::vertex_locator t) {
         if (!word_test(frontier_words_, t)) return true;  // keep probing
         send_claim(v, t);
         return false;  // first frontier neighbor wins; stop the probe

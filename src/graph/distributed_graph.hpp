@@ -17,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -182,33 +183,60 @@ class distributed_graph {
     return bp_.csr_offsets[s + 1] - bp_.csr_offsets[s];
   }
 
-  /// Visit each target locator of slot `s`'s local adjacency slice.
-  /// Phase attribution: the whole row walk is `scan`; work the callback
-  /// triggers (mailbox packing, page-cache I/O) nests out into its own
-  /// phase, so scan self-time is pure adjacency traversal.
+  /// Walks local adjacency slices through one store walker.  A scan over
+  /// ascending slots holds one throughout, so over external storage rows
+  /// sharing a page share one pin: one get per page transition, not per
+  /// row.  Keeps at most one page pinned; must not outlive the graph.
+  class row_walker {
+   public:
+    explicit row_walker(const distributed_graph& g)
+        : g_(&g), walk_(g.store_.walk()) {}
+
+    /// Visit each target locator of slot `s`'s local adjacency slice.
+    template <typename Fn>
+    void for_each_out_edge(std::size_t s, Fn&& fn) {
+      for_each_out_edge_while(s, [&fn](vertex_locator t) {
+        fn(t);
+        return true;
+      });
+    }
+
+    /// Like for_each_out_edge, but `fn` returns a bool: false stops the
+    /// scan.  Returns true iff the whole slice was visited.  The bottom-up
+    /// BFS probe lives on this: an unvisited vertex stops at its FIRST
+    /// frontier neighbor, so a hub's probe is O(1) once the frontier is
+    /// dense instead of O(degree).
+    ///
+    /// Phase attribution: the whole row walk is `scan`; work the callback
+    /// triggers (mailbox packing, page-cache I/O) nests out into its own
+    /// phase, so scan self-time is pure adjacency traversal.
+    template <typename Fn>
+    bool for_each_out_edge_while(std::size_t s, Fn&& fn) {
+      if (s >= g_->bp_.num_sources) return true;
+      const obs::phase_scope pscope(obs::phase::scan);
+      return walk_.for_each_while(g_->bp_.csr_offsets[s],
+                                  g_->bp_.csr_offsets[s + 1],
+                                  [&fn](std::uint64_t bits) {
+                                    return fn(vertex_locator::from_bits(bits));
+                                  });
+    }
+
+   private:
+    const distributed_graph* g_;
+    typename Store::walker walk_;
+  };
+
+  [[nodiscard]] row_walker rows() const { return row_walker(*this); }
+
+  /// One-row walks; see row_walker.
   template <typename Fn>
   void for_each_out_edge(std::size_t s, Fn&& fn) const {
-    if (s >= bp_.num_sources) return;
-    const obs::phase_scope pscope(obs::phase::scan);
-    store_.for_each(bp_.csr_offsets[s], bp_.csr_offsets[s + 1],
-                    [&fn](std::uint64_t bits) {
-                      fn(vertex_locator::from_bits(bits));
-                    });
+    rows().for_each_out_edge(s, std::forward<Fn>(fn));
   }
 
-  /// Like for_each_out_edge, but `fn` returns a bool: false stops the
-  /// scan.  Returns true iff the whole slice was visited.  The bottom-up
-  /// BFS probe lives on this: an unvisited vertex stops at its FIRST
-  /// frontier neighbor, so a hub's probe is O(1) once the frontier is
-  /// dense instead of O(degree).
   template <typename Fn>
   bool for_each_out_edge_while(std::size_t s, Fn&& fn) const {
-    if (s >= bp_.num_sources) return true;
-    const obs::phase_scope pscope(obs::phase::scan);
-    return store_.for_each_while(bp_.csr_offsets[s], bp_.csr_offsets[s + 1],
-                                 [&fn](std::uint64_t bits) {
-                                   return fn(vertex_locator::from_bits(bits));
-                                 });
+    return rows().for_each_out_edge_while(s, std::forward<Fn>(fn));
   }
 
   /// Visit (target, weight) pairs of slot `s`'s local adjacency slice.
@@ -217,14 +245,9 @@ class distributed_graph {
   template <typename Fn>
   void for_each_out_edge_weighted(std::size_t s, Fn&& fn) const {
     if (s >= bp_.num_sources) return;
-    const obs::phase_scope pscope(obs::phase::scan);
     assert(!bp_.adj_weight.empty());
     std::size_t i = bp_.csr_offsets[s];
-    store_.for_each(bp_.csr_offsets[s], bp_.csr_offsets[s + 1],
-                    [&](std::uint64_t bits) {
-                      fn(vertex_locator::from_bits(bits), bp_.adj_weight[i]);
-                      ++i;
-                    });
+    for_each_out_edge(s, [&](vertex_locator t) { fn(t, bp_.adj_weight[i++]); });
   }
 
   [[nodiscard]] bool has_weights() const noexcept {

@@ -4,11 +4,10 @@
 /// The paper stores each local partition as compressed sparse row
 /// (§III-A1); in the external-memory experiments the edge array lives on
 /// NAND Flash behind the user-space page cache (§VII-C).  Both policies
-/// expose the same minimal API (a ranged walk that can stop early, the
-/// ranged for_each built on it, ranged binary search), so
-/// `distributed_graph<Store>` is oblivious to where its edges live —
-/// exactly the property that let the paper run the same algorithm
-/// DRAM-only and at 32x DRAM size.
+/// expose the same minimal API (a walker whose ranged walk can stop early,
+/// ranged binary search), so `distributed_graph<Store>` is oblivious to
+/// where its edges live — exactly the property that let the paper run the
+/// same algorithm DRAM-only and at 32x DRAM size.
 #pragma once
 
 #include <algorithm>
@@ -29,23 +28,26 @@ class in_memory_edges {
 
   [[nodiscard]] std::size_t size() const noexcept { return bits_.size(); }
 
-  /// Apply `fn(bits)` to [begin, end) in order until it returns false.
-  /// Returns true iff the whole range was visited.
-  template <typename Fn>
-  bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) const {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (!fn(bits_[i])) return false;
-    }
-    return true;
-  }
+  /// Walks ranges of the array; must not outlive the store.
+  class walker {
+   public:
+    explicit walker(const in_memory_edges& e) : bits_(e.bits_.data()) {}
 
-  template <typename Fn>
-  void for_each(std::size_t begin, std::size_t end, Fn&& fn) const {
-    for_each_while(begin, end, [&fn](std::uint64_t v) {
-      fn(v);
+    /// Apply `fn(bits)` to [begin, end) in order until it returns false.
+    /// Returns true iff the whole range was visited.
+    template <typename Fn>
+    bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!fn(bits_[i])) return false;
+      }
       return true;
-    });
-  }
+    }
+
+   private:
+    const std::uint64_t* bits_;
+  };
+
+  [[nodiscard]] walker walk() const { return walker(*this); }
 
   /// True if `key` occurs in the *sorted* range [begin, end).
   [[nodiscard]] bool contains_in_range(std::size_t begin, std::size_t end,
@@ -70,21 +72,27 @@ class external_edges {
 
   [[nodiscard]] std::size_t size() const noexcept { return arr_.size(); }
 
-  /// The same walk with a cursor bounded by the range: one page-cache
-  /// pin per page touched, not one per edge.
-  template <typename Fn>
-  bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) const {
-    return arr_.for_each_while(
-        begin, end, [&fn](std::size_t, std::uint64_t v) { return fn(v); });
-  }
+  /// The same walk through one paged_array cursor: one page-cache pin per
+  /// page touched, not one per edge, and a range that starts on the page
+  /// the previous range left pinned reuses that pin.  Holds at most one
+  /// page pinned until destroyed; must not outlive the store.
+  class walker {
+   public:
+    explicit walker(const external_edges& e) : cur_(e.arr_.scan(0, 0)) {}
 
-  template <typename Fn>
-  void for_each(std::size_t begin, std::size_t end, Fn&& fn) const {
-    for_each_while(begin, end, [&fn](std::uint64_t v) {
-      fn(v);
+    template <typename Fn>
+    bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) {
+      for (cur_.seek(begin, end); !cur_.done(); cur_.advance()) {
+        if (!fn(cur_.value())) return false;
+      }
       return true;
-    });
-  }
+    }
+
+   private:
+    storage::paged_array<std::uint64_t>::cursor cur_;
+  };
+
+  [[nodiscard]] walker walk() const { return walker(*this); }
 
   [[nodiscard]] bool contains_in_range(std::size_t begin, std::size_t end,
                                        std::uint64_t key) const {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
@@ -28,10 +29,41 @@ std::size_t reuse_slot_of(std::uint64_t page_id) {
 
 }  // namespace
 
+std::size_t page_cache::page_table::find(std::uint64_t page) const noexcept {
+  for (std::size_t i = home(page);; i = (i + 1) & mask_) {
+    if (slots_[i].page == page) return slots_[i].frame;
+    if (slots_[i].page == kNoPage) return npos;
+  }
+}
+
+void page_cache::page_table::insert(std::uint64_t page,
+                                    std::size_t frame) noexcept {
+  std::size_t i = home(page);
+  while (slots_[i].page != kNoPage) i = (i + 1) & mask_;
+  slots_[i] = {page, frame};
+}
+
+void page_cache::page_table::erase(std::uint64_t page) noexcept {
+  std::size_t hole = home(page);
+  while (slots_[hole].page != page) hole = (hole + 1) & mask_;
+  // Backward shift: pull each later key of the cluster into the hole
+  // unless its home lies cyclically after the hole, so every key stays
+  // reachable from its home without tombstones.
+  for (std::size_t j = (hole + 1) & mask_; slots_[j].page != kNoPage;
+       j = (j + 1) & mask_) {
+    if (((j - home(slots_[j].page)) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].page = kNoPage;
+}
+
 page_cache::page_cache(block_device& dev, config cfg)
     : dev_(&dev),
       cfg_(cfg),
       frames_(cfg.num_frames),
+      table_(cfg.num_frames),
       faults_on_(cfg.faults.enabled()),
       fault_stream_(cfg.faults.seed, 0xCAC4Eu),
       m_hits_(obs::metrics_registry::instance().get_counter("cache.hits")),
@@ -98,7 +130,7 @@ void page_cache::on_mem_pressure(obs::mem_pressure_level level) {
       frame& f = frames_[i];
       if (f.pins > 0 || f.loading || f.dirty) continue;
       if (f.page_id != kNoPage) {
-        page_to_frame_.erase(f.page_id);
+        table_.erase(f.page_id);
         f.page_id = kNoPage;
       }
       f.referenced = false;
@@ -108,8 +140,8 @@ void page_cache::on_mem_pressure(obs::mem_pressure_level level) {
       sync_frame_mem_locked(f);
       ++freed;
     }
+    if (waiters_ > 0) cv_.notify_all();
   }
-  cv_.notify_all();
   obs::trace_instant("cache.mem_shrink", "storage", "freed",
                      static_cast<double>(freed));
   if (obs::metrics_on()) {
@@ -123,25 +155,25 @@ void page_cache::on_mem_pressure(obs::mem_pressure_level level) {
 // page_ref
 // ---------------------------------------------------------------------------
 
-page_cache::page_ref::page_ref(page_ref&& other) noexcept
-    : cache_(other.cache_), frame_(other.frame_), page_id_(other.page_id_) {
-  other.cache_ = nullptr;
+page_cache::page_ref::page_ref(page_ref&& other) noexcept {
+  *this = std::move(other);
 }
 
 page_cache::page_ref& page_cache::page_ref::operator=(
     page_ref&& other) noexcept {
   if (this != &other) {
-    if (cache_ != nullptr) cache_->unpin(frame_);
+    if (cache_ != nullptr) cache_->unpin(frame_, declared_);
     cache_ = other.cache_;
     frame_ = other.frame_;
     page_id_ = other.page_id_;
+    declared_ = other.declared_;
     other.cache_ = nullptr;
   }
   return *this;
 }
 
 page_cache::page_ref::~page_ref() {
-  if (cache_ != nullptr) cache_->unpin(frame_);
+  if (cache_ != nullptr) cache_->unpin(frame_, declared_);
 }
 
 std::span<const std::byte> page_cache::page_ref::data() const {
@@ -160,6 +192,12 @@ std::span<std::byte> page_cache::page_ref::mutable_data() {
 // ---------------------------------------------------------------------------
 // page_cache
 // ---------------------------------------------------------------------------
+
+void page_cache::wait_locked(std::unique_lock<std::mutex>& lock) {
+  ++waiters_;
+  cv_.wait(lock);
+  --waiters_;
+}
 
 std::size_t page_cache::find_victim_locked() {
   // CLOCK / second chance: two sweeps are enough — the first clears
@@ -187,7 +225,7 @@ void page_cache::fault_evict_locked() {
   for (std::size_t i = 0; i < frames_.size(); ++i) {
     frame& f = frames_[(start + i) % frames_.size()];
     if (f.page_id == kNoPage || f.pins > 0 || f.loading || f.dirty) continue;
-    page_to_frame_.erase(f.page_id);
+    table_.erase(f.page_id);
     f.page_id = kNoPage;
     f.referenced = false;
     ++stats_.fault_evictions;
@@ -228,13 +266,13 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
   }
   std::uint64_t fault_t0 = 0;  // set on first miss; 0 = hit path
   for (;;) {
-    if (const auto it = page_to_frame_.find(page_id);
-        it != page_to_frame_.end()) {
-      frame& f = frames_[it->second];
+    if (const std::size_t hit = table_.find(page_id);
+        hit != page_table::npos) {
+      frame& f = frames_[hit];
       if (f.loading) {
         // Another thread is faulting this page in (or writing it back);
         // wait for the I/O to finish, then re-check.
-        cv_.wait(lock);
+        wait_locked(lock);
         continue;
       }
       ++f.pins;
@@ -242,13 +280,13 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       ++f.touches;
       ++stats_.hits;
       if (data_on) m_hits_.add_raw(1);
-      return page_ref(this, it->second, page_id);
+      return page_ref(this, hit, page_id);
     }
     if (data_on && fault_t0 == 0) fault_t0 = now_us();
 
     const std::size_t v = find_victim_locked();
     if (v == frames_.size()) {
-      cv_.wait(lock);  // all frames pinned/loading; wait for an unpin
+      wait_locked(lock);  // all frames pinned/loading; wait for an unpin
       continue;
     }
     frame& f = frames_[v];
@@ -291,14 +329,14 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
         m_writebacks_.add_raw(1);
         m_dev_bytes_written_.add_raw(copy.size());
       }
-      cv_.notify_all();
+      if (waiters_ > 0) cv_.notify_all();
       continue;  // state changed while unlocked; restart the search
     }
 
     if (f.page_id != kNoPage) {
       obs::trace_instant("cache.evict", "storage", "page",
                          static_cast<double>(f.page_id));
-      page_to_frame_.erase(f.page_id);
+      table_.erase(f.page_id);
       ++stats_.evictions;
       if (data_on) m_evictions_.add_raw(1);
     }
@@ -318,7 +356,7 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     // a pressure shrink freed it, sizes the buffer.
     f.data.resize(cfg_.page_size);
     sync_frame_mem_locked(f);
-    page_to_frame_[page_id] = v;
+    table_.insert(page_id, v);
     ++stats_.misses;
     stats_.dev_bytes_read += cfg_.page_size;
     if (data_on) {
@@ -346,19 +384,21 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
         m_fault_us_.record_raw(done - fault_t0);
       }
     }
-    cv_.notify_all();
+    if (waiters_ > 0) cv_.notify_all();
     return page_ref(this, v, page_id);
   }
 }
 
-void page_cache::unpin(std::size_t frame_idx) {
-  {
-    const std::scoped_lock lock(mu_);
-    frame& f = frames_[frame_idx];
-    assert(f.pins > 0);
-    --f.pins;
+void page_cache::unpin(std::size_t frame_idx, std::size_t declared_bytes) {
+  const std::scoped_lock lock(mu_);
+  frame& f = frames_[frame_idx];
+  assert(f.pins > 0);
+  --f.pins;
+  stats_.bytes_requested += declared_bytes;
+  if (declared_bytes != 0 && obs::metrics_on()) {
+    m_bytes_requested_.add_raw(declared_bytes);
   }
-  cv_.notify_all();
+  if (waiters_ > 0) cv_.notify_all();
 }
 
 void page_cache::mark_dirty(std::size_t frame_idx) {
@@ -399,7 +439,7 @@ void page_cache::flush_dirty() {
       m_writebacks_.add_raw(1);
       m_dev_bytes_written_.add_raw(copy.size());
     }
-    cv_.notify_all();
+    if (waiters_ > 0) cv_.notify_all();
   }
 }
 

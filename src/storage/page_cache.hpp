@@ -9,16 +9,23 @@
 /// Eviction is CLOCK (second chance) over unpinned frames.  Pages are
 /// pinned while a page_ref is alive; pinned pages are never evicted.
 /// Dirty pages are written back on eviction and on flush_dirty().
+///
+/// The page table is one flat open-addressing array sized at construction
+/// (a power of two at least 4x the frames: multiplicative hash, linear
+/// probing, backward-shift erase), so a miss that evicts neither frees nor
+/// allocates.  Blocked threads (every frame pinned, or the page mid-I/O)
+/// are counted under the lock, and a state change notifies only while one
+/// waits; a woken thread re-checks its state under the lock.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -75,6 +82,11 @@ class page_cache {
     [[nodiscard]] bool valid() const noexcept { return cache_ != nullptr; }
     [[nodiscard]] std::uint64_t page_id() const noexcept { return page_id_; }
 
+    /// Declare `bytes` more demand from this pinned page: a walker that
+    /// reuses its pin for another range declares that range's span here
+    /// instead of pinning again.  Charged to bytes_requested at release.
+    void declare(std::size_t bytes) noexcept { declared_ += bytes; }
+
     /// Read-only view of the page's bytes.
     [[nodiscard]] std::span<const std::byte> data() const;
 
@@ -89,6 +101,7 @@ class page_cache {
     page_cache* cache_ = nullptr;
     std::size_t frame_ = 0;
     std::uint64_t page_id_ = 0;
+    std::size_t declared_ = 0;  ///< demand declared since the pin
   };
 
   /// Pin page `page_id` (device bytes [page_id * page_size, +page_size)),
@@ -99,7 +112,8 @@ class page_cache {
   /// paged_array element access passes sizeof(T), a cursor its span) — the
   /// denominator of the read/write-amplification pair: the device always
   /// moves whole pages, so amplification = dev_bytes_moved /
-  /// bytes_requested.  The one-argument form charges a full page.
+  /// bytes_requested.  The one-argument form charges a full page; demand
+  /// declared later on the page_ref is charged when it is released.
   page_ref get(std::uint64_t page_id) { return get(page_id, cfg_.page_size); }
   page_ref get(std::uint64_t page_id, std::size_t requested_bytes);
 
@@ -184,8 +198,44 @@ class page_cache {
     std::uint64_t clock = 0;
   };
 
-  void unpin(std::size_t frame_idx);
+  /// Page id -> frame index (see the file comment).  kNoPage marks an
+  /// empty slot; at most num_frames keys are live, so load <= 1/4.
+  class page_table {
+   public:
+    static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
+
+    explicit page_table(std::size_t num_frames)
+        : slots_(std::bit_ceil(4 * num_frames)),
+          shift_(64 - std::countr_zero(slots_.size())),
+          mask_(slots_.size() - 1) {}
+    /// The frame mapped to `page`, or npos.
+    [[nodiscard]] std::size_t find(std::uint64_t page) const noexcept;
+    /// Map `page`, which is not mapped, to `frame`.
+    void insert(std::uint64_t page, std::size_t frame) noexcept;
+    /// Unmap `page`, which is mapped, shifting the rest of its cluster back.
+    void erase(std::uint64_t page) noexcept;
+
+   private:
+    struct slot {
+      std::uint64_t page = kNoPage;
+      std::size_t frame = 0;
+    };
+    [[nodiscard]] std::size_t home(std::uint64_t page) const noexcept {
+      return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+
+    std::vector<slot> slots_;
+    int shift_;
+    std::size_t mask_;
+  };
+
+  /// Release one pin, charging the demand declared on it since the get.
+  void unpin(std::size_t frame_idx, std::size_t declared_bytes);
   void mark_dirty(std::size_t frame_idx);
+
+  /// Block on cv_, counted in waiters_ so that a state change notifies
+  /// only while a thread waits; caller holds `lock` and re-checks after.
+  void wait_locked(std::unique_lock<std::mutex>& lock);
 
   /// Pick an evictable frame with the CLOCK hand; caller holds the lock.
   /// Returns num_frames() if nothing is currently evictable.
@@ -215,8 +265,9 @@ class page_cache {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  int waiters_ = 0;  ///< threads blocked in wait_locked()
   std::vector<frame> frames_;
-  std::unordered_map<std::uint64_t, std::size_t> page_to_frame_;
+  page_table table_;
   std::size_t clock_hand_ = 0;
   /// Effective frame bound: misses only claim frames below this index.
   /// Equal to cfg_.num_frames except while a memory budget is under

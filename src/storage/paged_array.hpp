@@ -50,7 +50,10 @@ class paged_array {
   }
 
   /// Sequential cursor over [index, end): pins each page once for all its
-  /// elements in the range.
+  /// elements in the range.  seek() re-aims it at another range and keeps
+  /// the pin when that range starts on the pinned page, so one cursor
+  /// walking ascending ranges (CSR rows) takes one get per page
+  /// transition, not one per range.
   class cursor {
    public:
     cursor(const paged_array& arr, std::size_t index, std::size_t end)
@@ -58,6 +61,24 @@ class paged_array {
 
     [[nodiscard]] bool done() const noexcept { return index_ >= end_; }
     [[nodiscard]] std::size_t index() const noexcept { return index_; }
+
+    /// Re-aim at [begin, end), `end` clamped to size().  If `begin` is on
+    /// the pinned page the pin stays and the range declares on it the span
+    /// a fresh pin would charge; otherwise the pin is released before the
+    /// next get, as a cursor per range would, so a one-frame cache works.
+    void seek(std::size_t begin, std::size_t end) {
+      index_ = begin;
+      end_ = std::min(end, arr_->count_);
+      if (bytes_ == nullptr || done()) return;
+      const std::uint64_t byte_off = arr_->base_ + index_ * sizeof(T);
+      if (byte_off / arr_->cache_->page_size() != page_.page_id()) {
+        page_ = {};
+        bytes_ = nullptr;
+        return;
+      }
+      in_page_ = byte_off % arr_->cache_->page_size();
+      page_.declare(span_in_page());
+    }
 
     /// Current element.  Faults/pins the containing page on first touch.
     T value() {
@@ -77,17 +98,19 @@ class paged_array {
     }
 
    private:
+    /// A scan consumes the rest of this page, bounded by the rest of its
+    /// range, so that span is its demand — sequential reads then show
+    /// amplification near 1 while random probes show page_size/sizeof(T).
+    [[nodiscard]] std::size_t span_in_page() const noexcept {
+      return std::min(arr_->cache_->page_size() - in_page_,
+                      (end_ - index_) * sizeof(T));
+    }
+
     void pin_page() {
       const std::uint64_t byte_off = arr_->base_ + index_ * sizeof(T);
-      const std::uint64_t page = byte_off / arr_->cache_->page_size();
       in_page_ = byte_off % arr_->cache_->page_size();
-      // A scan consumes the rest of this page, bounded by the rest of its
-      // range, so charge that span — sequential reads then show
-      // amplification near 1 while random probes show page_size/sizeof(T).
-      const std::size_t left_in_page =
-          arr_->cache_->page_size() - in_page_;
-      const std::size_t left_in_range = (end_ - index_) * sizeof(T);
-      page_ = arr_->cache_->get(page, std::min(left_in_page, left_in_range));
+      page_ = arr_->cache_->get(byte_off / arr_->cache_->page_size(),
+                                span_in_page());
       bytes_ = page_.data().data();
     }
 

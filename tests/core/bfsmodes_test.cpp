@@ -291,8 +291,9 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Injected eviction pressure forces the miss path mid-probe: a page the
-// walk has unpinned may be gone when the next row needs it.
+// Injected eviction pressure forces the miss path mid-scan: the page the
+// scan's row walker holds cannot be dropped, but every page it has
+// released may be gone when a later row or the next level needs it.
 TEST(BfsModesExternal, SurvivesInjectedEvictions) {
   storage::page_cache::fault_hooks faults;
   faults.seed = 4242;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -119,24 +122,66 @@ TEST(SimNvram, SerialLatencyIsEnforced) {
   EXPECT_GE(t.elapsed_ms(), 18.0);
 }
 
+/// An inner device that records the peak number of readers inside read()
+/// at once.  Each reader waits there until `target` readers are inside,
+/// or until a deadline 10 s after construction that only a failing run
+/// reaches, so the peak counts how many reads the outer device lets
+/// overlap, whatever the scheduler does.
+class overlap_probe_device final : public block_device {
+ public:
+  explicit overlap_probe_device(int target) : target_(target) {}
+
+  void read(std::uint64_t offset, std::span<std::byte> out) override {
+    {
+      std::unique_lock lock(mu_);
+      peak_ = std::max(peak_, ++inside_);
+      cv_.notify_all();
+      cv_.wait_until(lock, deadline_, [this] { return peak_ >= target_; });
+      --inside_;
+    }
+    inner_.read(offset, out);
+  }
+  void write(std::uint64_t offset, std::span<const std::byte> data) override {
+    inner_.write(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size_bytes() const override {
+    return inner_.size_bytes();
+  }
+
+  [[nodiscard]] int peak() const {
+    const std::scoped_lock lock(mu_);
+    return peak_;
+  }
+
+ private:
+  memory_device inner_;
+  const int target_;
+  const std::chrono::steady_clock::time_point deadline_ =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  int inside_ = 0;
+  int peak_ = 0;
+};
+
 TEST(SimNvram, ConcurrencyOverlapsLatency) {
-  memory_device inner;
-  inner.write(0, pattern_bytes(4096, 6));
+  // 16 concurrent readers with queue depth 16 are all inside the device
+  // at once, so their latencies overlap instead of adding up.  This is
+  // the paper's §II-B observation that NVRAM needs high concurrent I/O
+  // for performance.
+  constexpr int kReaders = 16;
+  overlap_probe_device inner(kReaders);
   sim_nvram_device dev(inner, {std::chrono::microseconds(5000),
-                               std::chrono::microseconds(5000), 16});
-  // 16 concurrent readers with queue depth 16: wall time ~1 latency, far
-  // below the 80ms serial time.  This is the paper's §II-B observation
-  // that NVRAM needs high concurrent I/O for performance.
-  util::timer t;
+                               std::chrono::microseconds(5000), kReaders});
   std::vector<std::thread> threads;
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < kReaders; ++i) {
     threads.emplace_back([&dev] {
       std::vector<std::byte> buf(64);
       dev.read(0, buf);
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_LT(t.elapsed_ms(), 60.0);
+  EXPECT_EQ(inner.peak(), kReaders);
 }
 
 TEST(SimNvram, QueueDepthBoundsConcurrency) {

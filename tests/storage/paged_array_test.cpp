@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/block_device.hpp"
@@ -13,6 +16,7 @@ namespace sfg::storage {
 namespace {
 
 constexpr std::size_t kPage = 128;  // 16 uint64 per page
+constexpr std::size_t kPerPage = kPage / sizeof(std::uint64_t);
 
 std::vector<std::uint64_t> make_values(std::size_t n) {
   std::vector<std::uint64_t> v(n);
@@ -170,6 +174,137 @@ TEST(PagedArray, WorksThroughSimNvram) {
     ASSERT_EQ(arr[i], values[i]);
   }
   EXPECT_GT(nvram.stats().reads, 0u);
+}
+
+// A cursor re-aimed with seek() at a range that starts on its pinned page
+// keeps the pin: ranges that tile one page cost one get, and still
+// declare exactly their own bytes, charged when the pin is released.
+TEST(PagedArray, SeekKeepsThePinAcrossRangesOnOnePage) {
+  memory_device dev;
+  const auto values = make_values(2 * kPerPage);
+  write_array<std::uint64_t>(dev, 0, values);
+  page_cache cache(dev, {kPage, 1});
+  paged_array<std::uint64_t> arr(cache, 0, values.size());
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 3}, {3, 3}, {3, 7}, {9, kPerPage}};
+  {
+    auto cur = arr.scan(0, 0);
+    for (const auto& [b, e] : ranges) {
+      for (cur.seek(b, e); !cur.done(); cur.advance()) {
+        ASSERT_EQ(cur.value(), values[cur.index()]);
+      }
+    }
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.hits + s.misses, 1u);
+  EXPECT_EQ(s.bytes_requested, (kPerPage - 2) * sizeof(std::uint64_t));
+}
+
+struct walk_range {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  /// Elements visited before the walk stops early (max: the whole range).
+  std::size_t stop_after = std::numeric_limits<std::size_t>::max();
+};
+
+/// Ascending, disjoint ranges like the CSR rows of a level scan: empty
+/// rows, short rows that end mid-page, rows spanning pages, gaps of
+/// skipped rows, and some walks that stop early like a bottom-up probe.
+std::vector<walk_range> random_ranges(util::xoshiro256& rng, std::size_t n) {
+  std::vector<walk_range> out;
+  std::size_t pos = rng.uniform_below(kPerPage);
+  while (pos < n) {
+    std::size_t len = 0;
+    switch (rng.uniform_below(4)) {
+      case 0:
+        break;
+      case 1:
+        len = 1 + rng.uniform_below(4);
+        break;
+      case 2:
+        len = 1 + rng.uniform_below(kPerPage);
+        break;
+      default:
+        len = kPerPage + rng.uniform_below(3 * kPerPage);
+    }
+    walk_range r{pos, std::min(n, pos + len)};
+    if (r.end > r.begin && rng.uniform_below(3) == 0) {
+      r.stop_after = 1 + rng.uniform_below(r.end - r.begin);
+    }
+    out.push_back(r);
+    pos = r.end;
+    if (rng.uniform_below(3) == 0) pos += rng.uniform_below(2 * kPerPage);
+  }
+  return out;
+}
+
+struct walk_run {
+  std::vector<std::pair<std::size_t, std::uint64_t>> seen;
+  page_cache::cache_stats stats;
+};
+
+/// Walk `ranges` on a fresh cache of `frames` frames, either through one
+/// cursor re-aimed with seek() or with a fresh cursor per range.
+walk_run walk_ranges(block_device& dev, std::size_t n, std::size_t frames,
+                     const std::vector<walk_range>& ranges, bool one_cursor) {
+  page_cache cache(dev, {kPage, frames});
+  paged_array<std::uint64_t> arr(cache, 0, n);
+  walk_run run;
+  const auto walk = [&run](paged_array<std::uint64_t>::cursor& cur,
+                           const walk_range& r) {
+    std::size_t visited = 0;
+    for (; !cur.done(); cur.advance()) {
+      run.seen.emplace_back(cur.index(), cur.value());
+      if (++visited == r.stop_after) break;
+    }
+  };
+  {
+    auto walker = arr.scan(0, 0);
+    for (const walk_range& r : ranges) {
+      if (one_cursor) {
+        walker.seek(r.begin, r.end);
+        walk(walker, r);
+      } else {
+        auto cur = arr.scan(r.begin, r.end);
+        walk(cur, r);
+      }
+    }
+  }  // releases the walker's last pin, charging its declared demand
+  run.stats = cache.stats();
+  return run;
+}
+
+// One cursor walking ascending ranges reads what a cursor per range reads
+// and costs the cache the same misses, evictions, declared demand and
+// device bytes: it only skips the re-pins of the page the previous range
+// left pinned, which were all hits.
+TEST(PagedArray, OneCursorOverRangesMatchesCursorPerRange) {
+  constexpr std::size_t kN = 40 * kPerPage;
+  memory_device dev;
+  const auto values = make_values(kN);
+  write_array<std::uint64_t>(dev, 0, values);
+  std::uint64_t walker_hits = 0;
+  std::uint64_t per_range_hits = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    auto rng = util::make_stream(0x5EEC, seed);
+    const auto ranges = random_ranges(rng, kN);
+    for (const std::size_t frames : {1, 2, 3, 8}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " frames " +
+                   std::to_string(frames));
+      const walk_run one = walk_ranges(dev, kN, frames, ranges, true);
+      const walk_run per = walk_ranges(dev, kN, frames, ranges, false);
+      ASSERT_EQ(one.seen, per.seen);
+      for (const auto& [i, v] : one.seen) ASSERT_EQ(v, values[i]) << i;
+      EXPECT_EQ(one.stats.misses, per.stats.misses);
+      EXPECT_EQ(one.stats.evictions, per.stats.evictions);
+      EXPECT_EQ(one.stats.bytes_requested, per.stats.bytes_requested);
+      EXPECT_EQ(one.stats.dev_bytes_read, per.stats.dev_bytes_read);
+      EXPECT_LE(one.stats.hits, per.stats.hits);
+      walker_hits += one.stats.hits;
+      per_range_hits += per.stats.hits;
+    }
+  }
+  EXPECT_LT(walker_hits, per_range_hits);
 }
 
 }  // namespace
