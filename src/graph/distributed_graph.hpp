@@ -15,7 +15,6 @@
 
 #include <cassert>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,58 +25,9 @@
 #include "graph/vertex_state.hpp"
 #include "obs/phase.hpp"
 #include "runtime/comm.hpp"
+#include "util/flat_index.hpp"
 
 namespace sfg::graph {
-
-/// Ghost locator -> ghost slot (paper §IV-B).  The ghost filter probes
-/// this on every push, so it is one flat open-addressing table of keys: a
-/// power of two at load <= 1/8, a multiplicative hash over the high bits
-/// of the product, linear probing, and the slots in a parallel array read
-/// only on a hit.  Most pushes miss, and a miss probes ~1.2 keys at load
-/// 1/8 against ~2.5 at load 1/2, each probe a data-dependent branch; 256
-/// ghosts take 32 KiB.  vertex_locator::invalid() marks an empty key, so
-/// it can never be a ghost (io::load_blueprint rejects it).
-class ghost_index {
- public:
-  /// `keys[g]` maps to slot g.  Keys must be distinct and valid.
-  explicit ghost_index(std::span<const std::uint64_t> keys) {
-    unsigned log2 = 1;
-    while ((std::size_t{1} << log2) < 8 * keys.size()) ++log2;
-    shift_ = 64 - log2;
-    mask_ = (std::size_t{1} << log2) - 1;
-    keys_.assign(mask_ + 1, kEmpty);
-    slots_.assign(mask_ + 1, 0);
-    for (std::size_t g = 0; g < keys.size(); ++g) {
-      assert(keys[g] != kEmpty);
-      std::size_t i = home(keys[g]);
-      while (keys_[i] != kEmpty) {
-        assert(keys_[i] != keys[g]);
-        i = (i + 1) & mask_;
-      }
-      keys_[i] = keys[g];
-      slots_[i] = g;
-    }
-  }
-
-  [[nodiscard]] std::optional<std::size_t> find(std::uint64_t key) const noexcept {
-    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
-      if (keys_[i] == kEmpty) return std::nullopt;
-      if (keys_[i] == key) return slots_[i];
-    }
-  }
-
- private:
-  static constexpr std::uint64_t kEmpty = vertex_locator::invalid().bits();
-
-  [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::size_t> slots_;
-  unsigned shift_;
-  std::size_t mask_;
-};
 
 template <typename Store = in_memory_edges>
 class distributed_graph {
@@ -91,7 +41,13 @@ class distributed_graph {
       : comm_(&c),
         bp_(std::move(bp)),
         store_(std::move(store)),
-        ghost_index_(bp_.ghost_locator_bits) {
+        ghost_index_(bp_.ghost_locator_bits.size(), 8) {
+    // vertex_locator::invalid() is the table's empty key, so it can never
+    // be a ghost (io::load_blueprint rejects it).
+    static_assert(vertex_locator::invalid().bits() == util::flat_index::kEmpty);
+    for (std::size_t g = 0; g < bp_.ghost_locator_bits.size(); ++g) {
+      ghost_index_.insert(bp_.ghost_locator_bits[g], g);
+    }
     for (std::size_t s = 0; s < num_slots(); ++s) {
       const auto loc = vertex_locator::from_bits(bp_.slot_locator_bits[s]);
       if (loc.owner() != rank()) replica_slot_.emplace(loc.bits(), s);
@@ -341,7 +297,10 @@ class distributed_graph {
   runtime::comm* comm_;
   partition_blueprint bp_;
   Store store_;
-  ghost_index ghost_index_;
+  /// Ghost locator -> ghost slot (paper §IV-B).  The ghost filter probes
+  /// it on every push and most pushes miss, so it is sized at load <= 1/8
+  /// (see util/flat_index.hpp); 256 ghosts take 32 KiB.
+  util::flat_index ghost_index_;
   std::unordered_map<std::uint64_t, std::size_t> replica_slot_;
   std::unordered_map<std::uint64_t, const split_entry*> split_by_locator_;
   std::unordered_map<std::uint64_t, std::uint64_t> directory_;

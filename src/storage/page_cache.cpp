@@ -29,41 +29,11 @@ std::size_t reuse_slot_of(std::uint64_t page_id) {
 
 }  // namespace
 
-std::size_t page_cache::page_table::find(std::uint64_t page) const noexcept {
-  for (std::size_t i = home(page);; i = (i + 1) & mask_) {
-    if (slots_[i].page == page) return slots_[i].frame;
-    if (slots_[i].page == kNoPage) return npos;
-  }
-}
-
-void page_cache::page_table::insert(std::uint64_t page,
-                                    std::size_t frame) noexcept {
-  std::size_t i = home(page);
-  while (slots_[i].page != kNoPage) i = (i + 1) & mask_;
-  slots_[i] = {page, frame};
-}
-
-void page_cache::page_table::erase(std::uint64_t page) noexcept {
-  std::size_t hole = home(page);
-  while (slots_[hole].page != page) hole = (hole + 1) & mask_;
-  // Backward shift: pull each later key of the cluster into the hole
-  // unless its home lies cyclically after the hole, so every key stays
-  // reachable from its home without tombstones.
-  for (std::size_t j = (hole + 1) & mask_; slots_[j].page != kNoPage;
-       j = (j + 1) & mask_) {
-    if (((j - home(slots_[j].page)) & mask_) >= ((j - hole) & mask_)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole].page = kNoPage;
-}
-
 page_cache::page_cache(block_device& dev, config cfg)
     : dev_(&dev),
       cfg_(cfg),
       frames_(cfg.num_frames),
-      table_(cfg.num_frames),
+      table_(cfg.num_frames, 4),
       faults_on_(cfg.faults.enabled()),
       fault_stream_(cfg.faults.seed, 0xCAC4Eu),
       m_hits_(obs::metrics_registry::instance().get_counter("cache.hits")),
@@ -140,8 +110,8 @@ void page_cache::on_mem_pressure(obs::mem_pressure_level level) {
       sync_frame_mem_locked(f);
       ++freed;
     }
-    if (waiters_ > 0) cv_.notify_all();
   }
+  cv_.notify_all();
   obs::trace_instant("cache.mem_shrink", "storage", "freed",
                      static_cast<double>(freed));
   if (obs::metrics_on()) {
@@ -192,12 +162,6 @@ std::span<std::byte> page_cache::page_ref::mutable_data() {
 // ---------------------------------------------------------------------------
 // page_cache
 // ---------------------------------------------------------------------------
-
-void page_cache::wait_locked(std::unique_lock<std::mutex>& lock) {
-  ++waiters_;
-  cv_.wait(lock);
-  --waiters_;
-}
 
 std::size_t page_cache::find_victim_locked() {
   // CLOCK / second chance: two sweeps are enough — the first clears
@@ -266,13 +230,12 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
   }
   std::uint64_t fault_t0 = 0;  // set on first miss; 0 = hit path
   for (;;) {
-    if (const std::size_t hit = table_.find(page_id);
-        hit != page_table::npos) {
-      frame& f = frames_[hit];
+    if (const auto hit = table_.find(page_id)) {
+      frame& f = frames_[*hit];
       if (f.loading) {
         // Another thread is faulting this page in (or writing it back);
         // wait for the I/O to finish, then re-check.
-        wait_locked(lock);
+        cv_.wait(lock);
         continue;
       }
       ++f.pins;
@@ -280,13 +243,13 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       ++f.touches;
       ++stats_.hits;
       if (data_on) m_hits_.add_raw(1);
-      return page_ref(this, hit, page_id);
+      return page_ref(this, *hit, page_id);
     }
     if (data_on && fault_t0 == 0) fault_t0 = now_us();
 
     const std::size_t v = find_victim_locked();
     if (v == frames_.size()) {
-      wait_locked(lock);  // all frames pinned/loading; wait for an unpin
+      cv_.wait(lock);  // all frames pinned/loading; wait for an unpin
       continue;
     }
     frame& f = frames_[v];
@@ -329,7 +292,7 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
         m_writebacks_.add_raw(1);
         m_dev_bytes_written_.add_raw(copy.size());
       }
-      if (waiters_ > 0) cv_.notify_all();
+      cv_.notify_all();
       continue;  // state changed while unlocked; restart the search
     }
 
@@ -384,21 +347,23 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
         m_fault_us_.record_raw(done - fault_t0);
       }
     }
-    if (waiters_ > 0) cv_.notify_all();
+    cv_.notify_all();
     return page_ref(this, v, page_id);
   }
 }
 
 void page_cache::unpin(std::size_t frame_idx, std::size_t declared_bytes) {
-  const std::scoped_lock lock(mu_);
-  frame& f = frames_[frame_idx];
-  assert(f.pins > 0);
-  --f.pins;
-  stats_.bytes_requested += declared_bytes;
-  if (declared_bytes != 0 && obs::metrics_on()) {
-    m_bytes_requested_.add_raw(declared_bytes);
+  {
+    const std::scoped_lock lock(mu_);
+    frame& f = frames_[frame_idx];
+    assert(f.pins > 0);
+    --f.pins;
+    stats_.bytes_requested += declared_bytes;
+    if (declared_bytes != 0 && obs::metrics_on()) {
+      m_bytes_requested_.add_raw(declared_bytes);
+    }
   }
-  if (waiters_ > 0) cv_.notify_all();
+  cv_.notify_all();
 }
 
 void page_cache::mark_dirty(std::size_t frame_idx) {
@@ -439,7 +404,7 @@ void page_cache::flush_dirty() {
       m_writebacks_.add_raw(1);
       m_dev_bytes_written_.add_raw(copy.size());
     }
-    if (waiters_ > 0) cv_.notify_all();
+    cv_.notify_all();
   }
 }
 

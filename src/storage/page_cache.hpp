@@ -10,16 +10,14 @@
 /// pinned while a page_ref is alive; pinned pages are never evicted.
 /// Dirty pages are written back on eviction and on flush_dirty().
 ///
-/// The page table is one flat open-addressing array sized at construction
-/// (a power of two at least 4x the frames: multiplicative hash, linear
-/// probing, backward-shift erase), so a miss that evicts neither frees nor
-/// allocates.  Blocked threads (every frame pinned, or the page mid-I/O)
-/// are counted under the lock, and a state change notifies only while one
-/// waits; a woken thread re-checks its state under the lock.
+/// The page table is a util::flat_index sized at construction for one key
+/// per frame, so a miss that evicts neither frees nor allocates.  A thread
+/// that blocks (every frame pinned, or the page mid-I/O) waits on one
+/// condition variable that every unpin, fill and writeback notifies, and
+/// re-checks its state under the lock when woken.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -35,6 +33,7 @@
 #include "obs/stats_fields.hpp"
 #include "storage/block_device.hpp"
 #include "util/chaos.hpp"
+#include "util/flat_index.hpp"
 
 namespace sfg::storage {
 
@@ -198,44 +197,9 @@ class page_cache {
     std::uint64_t clock = 0;
   };
 
-  /// Page id -> frame index (see the file comment).  kNoPage marks an
-  /// empty slot; at most num_frames keys are live, so load <= 1/4.
-  class page_table {
-   public:
-    static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
-
-    explicit page_table(std::size_t num_frames)
-        : slots_(std::bit_ceil(4 * num_frames)),
-          shift_(64 - std::countr_zero(slots_.size())),
-          mask_(slots_.size() - 1) {}
-    /// The frame mapped to `page`, or npos.
-    [[nodiscard]] std::size_t find(std::uint64_t page) const noexcept;
-    /// Map `page`, which is not mapped, to `frame`.
-    void insert(std::uint64_t page, std::size_t frame) noexcept;
-    /// Unmap `page`, which is mapped, shifting the rest of its cluster back.
-    void erase(std::uint64_t page) noexcept;
-
-   private:
-    struct slot {
-      std::uint64_t page = kNoPage;
-      std::size_t frame = 0;
-    };
-    [[nodiscard]] std::size_t home(std::uint64_t page) const noexcept {
-      return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ull) >> shift_);
-    }
-
-    std::vector<slot> slots_;
-    int shift_;
-    std::size_t mask_;
-  };
-
   /// Release one pin, charging the demand declared on it since the get.
   void unpin(std::size_t frame_idx, std::size_t declared_bytes);
   void mark_dirty(std::size_t frame_idx);
-
-  /// Block on cv_, counted in waiters_ so that a state change notifies
-  /// only while a thread waits; caller holds `lock` and re-checks after.
-  void wait_locked(std::unique_lock<std::mutex>& lock);
 
   /// Pick an evictable frame with the CLOCK hand; caller holds the lock.
   /// Returns num_frames() if nothing is currently evictable.
@@ -265,9 +229,9 @@ class page_cache {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  int waiters_ = 0;  ///< threads blocked in wait_locked()
   std::vector<frame> frames_;
-  page_table table_;
+  /// Page id -> frame index, at most one key per frame (load <= 1/4).
+  util::flat_index table_;
   std::size_t clock_hand_ = 0;
   /// Effective frame bound: misses only claim frames below this index.
   /// Equal to cfg_.num_frames except while a memory budget is under

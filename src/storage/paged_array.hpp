@@ -129,27 +129,6 @@ class paged_array {
     return cursor(*this, begin, end);
   }
 
-  /// Apply `fn(index, value)` to elements [begin, end) in order until it
-  /// returns false; one pin per page touched.  Returns true iff every
-  /// element was visited.
-  template <typename Fn>
-  bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) const {
-    assert(begin <= end && end <= count_);
-    for (auto cur = scan(begin, end); !cur.done(); cur.advance()) {
-      if (!fn(cur.index(), cur.value())) return false;
-    }
-    return true;
-  }
-
-  /// Apply `fn(index, value)` to elements [begin, end), page-batched.
-  template <typename Fn>
-  void for_each(std::size_t begin, std::size_t end, Fn&& fn) const {
-    for_each_while(begin, end, [&fn](std::size_t i, T v) {
-      fn(i, v);
-      return true;
-    });
-  }
-
  private:
   page_cache* cache_;
   std::uint64_t base_;

@@ -165,10 +165,13 @@ class overlap_probe_device final : public block_device {
 };
 
 TEST(SimNvram, ConcurrencyOverlapsLatency) {
-  // 16 concurrent readers with queue depth 16 are all inside the device
-  // at once, so their latencies overlap instead of adding up.  This is
-  // the paper's §II-B observation that NVRAM needs high concurrent I/O
-  // for performance.
+  // 16 concurrent readers with queue depth 16 all hold a queue slot at
+  // once: the device admits `queue_depth` reads in flight, the paper's
+  // §II-B observation that NVRAM needs high concurrent I/O for
+  // performance.  The probe sits after the simulated latency, so this
+  // counts slots, not overlapping sleeps: a device that serialised its
+  // sleeps would still pass.  Checking the overlap itself needs
+  // sim_nvram on a simulated clock (ROADMAP item 7).
   constexpr int kReaders = 16;
   overlap_probe_device inner(kReaders);
   sim_nvram_device dev(inner, {std::chrono::microseconds(5000),

@@ -58,7 +58,9 @@ TEST(PagedArray, SequentialScanFaultsEachPageOnce) {
   page_cache cache(dev, {kPage, 4});
   paged_array<std::uint64_t> arr(cache, 0, kN);
   std::uint64_t sum = 0;
-  arr.for_each(0, kN, [&](std::size_t, std::uint64_t v) { sum += v; });
+  for (auto cur = arr.scan(0, kN); !cur.done(); cur.advance()) {
+    sum += cur.value();
+  }
   const std::uint64_t expected =
       std::accumulate(values.begin(), values.end(), std::uint64_t{0});
   EXPECT_EQ(sum, expected);
@@ -75,10 +77,10 @@ TEST(PagedArray, PartialRangeForEach) {
   page_cache cache(dev, {kPage, 4});
   paged_array<std::uint64_t> arr(cache, 0, 64);
   std::vector<std::uint64_t> seen;
-  arr.for_each(10, 30, [&](std::size_t i, std::uint64_t v) {
-    EXPECT_EQ(v, values[i]);
-    seen.push_back(v);
-  });
+  for (auto cur = arr.scan(10, 30); !cur.done(); cur.advance()) {
+    EXPECT_EQ(cur.value(), values[cur.index()]);
+    seen.push_back(cur.value());
+  }
   EXPECT_EQ(seen.size(), 20u);
 }
 
@@ -108,12 +110,17 @@ TEST(PagedArray, RangeWalkChargesOnlyItsSpan) {
   page_cache cache(dev, {kPage, 4});
   paged_array<std::uint64_t> arr(cache, 0, 64);
 
+  const auto walk = [&arr](std::size_t begin, std::size_t end) {
+    for (auto cur = arr.scan(begin, end); !cur.done(); cur.advance()) {
+      (void)cur.value();
+    }
+  };
   std::uint64_t before = cache.stats().bytes_requested;
-  arr.for_each(2, 5, [](std::size_t, std::uint64_t) {});  // inside page 0
+  walk(2, 5);  // inside page 0
   EXPECT_EQ(cache.stats().bytes_requested - before, 3 * sizeof(std::uint64_t));
 
   before = cache.stats().bytes_requested;
-  arr.for_each(10, 30, [](std::size_t, std::uint64_t) {});  // pages 0 and 1
+  walk(10, 30);  // pages 0 and 1
   EXPECT_EQ(cache.stats().bytes_requested - before,
             20 * sizeof(std::uint64_t));
 }
@@ -125,27 +132,33 @@ TEST(PagedArray, ForEachWhileVisitsRangeInOrder) {
   page_cache cache(dev, {kPage, 4});
   paged_array<std::uint64_t> arr(cache, 0, values.size());
   std::vector<std::size_t> seen;
-  EXPECT_TRUE(arr.for_each_while(5, 45, [&](std::size_t i, std::uint64_t v) {
-    EXPECT_EQ(v, values[i]);
-    seen.push_back(i);
-    return true;
-  }));
+  {
+    auto cur = arr.scan(5, 45);
+    for (; !cur.done(); cur.advance()) {
+      EXPECT_EQ(cur.value(), values[cur.index()]);
+      seen.push_back(cur.index());
+    }
+    EXPECT_EQ(cur.index(), 45u);
+  }
   ASSERT_EQ(seen.size(), 40u);
   for (std::size_t k = 0; k < seen.size(); ++k) EXPECT_EQ(seen[k], 5 + k);
   // Pages 0..2 were each pinned once.
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 3u);
-  EXPECT_TRUE(arr.for_each_while(7, 7, [](std::size_t, std::uint64_t) {
-    return false;
-  }));
+  EXPECT_TRUE(arr.scan(7, 7).done());
 
   // A walk that stops early has still declared its range in the page it
   // pinned, and pinned only that page.
   const std::uint64_t requested_before = cache.stats().bytes_requested;
   const std::uint64_t gets_before = cache.stats().hits + cache.stats().misses;
   std::size_t visited = 0;
-  EXPECT_FALSE(arr.for_each_while(33, 40, [&](std::size_t, std::uint64_t) {
-    return ++visited < 3;
-  }));
+  {
+    auto cur = arr.scan(33, 40);
+    for (; !cur.done(); cur.advance()) {
+      (void)cur.value();
+      if (++visited == 3) break;
+    }
+    EXPECT_FALSE(cur.done());
+  }
   EXPECT_EQ(visited, 3u);
   EXPECT_EQ(cache.stats().bytes_requested - requested_before,
             7 * sizeof(std::uint64_t));
@@ -158,8 +171,9 @@ TEST(PagedArray, EmptyArray) {
   paged_array<std::uint32_t> arr(cache, 0, 0);
   EXPECT_TRUE(arr.empty());
   int calls = 0;
-  arr.for_each(0, 0, [&](std::size_t, std::uint32_t) { ++calls; });
+  for (auto cur = arr.scan(); !cur.done(); cur.advance()) ++calls;
   EXPECT_EQ(calls, 0);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
 }
 
 TEST(PagedArray, WorksThroughSimNvram) {
