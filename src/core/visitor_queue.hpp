@@ -13,7 +13,12 @@
 ///
 /// Flow, exactly as Algorithm 1:
 ///   push():          ghost pre_visit filter (if any) -> mailbox.send to
-///                    the vertex's master (min_owner) partition
+///                    the vertex's master (min_owner) partition; inside
+///                    do_traversal, a push to a vertex this rank masters
+///                    runs check_mailbox on it at once instead (no
+///                    framing), counted through the mailbox as one record
+///                    sent and delivered; seeds pushed before
+///                    do_traversal still travel through the mailbox
 ///   check_mailbox(): pre_visit on the local state; on success queue
 ///                    locally AND forward down the replica chain
 ///   global_empty():  Mattern counting quiescence detection over a tree
@@ -82,7 +87,11 @@ class visitor_queue {
         mailbox_(g.comm(), {cfg.topo, cfg.aggregation_bytes, cfg.data_tag}) {}
 
   /// Paper Algorithm 1, PUSH: filter through a local ghost if present,
-  /// else (or on ghost pass) send toward the master partition.
+  /// else (or on ghost pass) send toward the master partition.  During
+  /// do_traversal a visitor for a vertex this rank masters is checked in
+  /// place: sent and delivered at once, as the mailbox counts it.  Seeds
+  /// keep the mailbox's local arena, so a traversal's counter delta still
+  /// opens after its seeds were sent and closes after they were delivered.
   void push(const Visitor& v) {
     ++stats_.visitors_pushed;
     if constexpr (Visitor::uses_ghosts) {
@@ -97,7 +106,13 @@ class visitor_queue {
       }
     }
     ++stats_.visitors_sent;
-    mailbox_.send(graph_->master_rank(v.vertex), runtime::as_bytes_of(v));
+    const int master = graph_->master_rank(v.vertex);
+    if (in_traversal_ && master == graph_->rank()) {
+      mailbox_.count_local_delivery(sizeof(Visitor));
+      check_mailbox_visitor(v);
+      return;
+    }
+    mailbox_.send(master, runtime::as_bytes_of(v));
   }
 
   /// Paper Algorithm 1, DO_TRAVERSAL: run to global quiescence.
@@ -115,6 +130,7 @@ class visitor_queue {
       std::memcpy(&v, bytes.data(), sizeof(Visitor));
       this->check_mailbox_visitor(v);
     };
+    in_traversal_ = true;
 
     // Phase attribution (obs/phase.hpp): everything inside the poll loop
     // runs under a per-iteration `idle` scope; the specific phases (poll,
@@ -181,6 +197,7 @@ class visitor_queue {
       observer.poll();
       if (done) break;
     }
+    in_traversal_ = false;
     observer.end(stats_, term.waves_completed());
     // Epoch boundary: without this, a fast rank could start a *new*
     // traversal and its records would land in a slow rank's still-running
@@ -234,6 +251,8 @@ class visitor_queue {
   /// Smallest (priority, tie-key) first; the container follows the
   /// visitor type — see core/local_queue.hpp for the bucket/heap split.
   local_queue<Visitor> local_queue_{cfg_.tiebreak};
+  /// Set while do_traversal runs: push() delivers to this rank in place.
+  bool in_traversal_ = false;
   traversal_stats stats_;
   traversal_observer::history observed_;
 };

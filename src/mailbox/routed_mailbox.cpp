@@ -80,12 +80,37 @@ obs::json routed_mailbox::matrix_json() const {
   return out;
 }
 
+void routed_mailbox::open_channel(channel& ch, int hop, std::size_t frame) {
+  // Size the fresh arena from the last packet, not the watermark: a
+  // sparse channel would pay a watermark-sized malloc and zero-fill for a
+  // tiny packet.  The sequence number is stamped at flush time so buffers
+  // never carry a stale one.
+  ch.buf.resize(std::max(ch.reserve_hint, sizeof(packet_header) + frame));
+  ch.used = sizeof(packet_header);
+  ch.opened_tick = tick_now_;
+  ch.open_ts_us = obs::metrics_on() ? now_us() : 0;
+  dirty_hops_.push_back(hop);
+  ++dirty_count_;
+  sync_channel_mem(ch);
+}
+
+void routed_mailbox::grow_channel(channel& ch, std::size_t frame) {
+  ch.grow(frame);
+  sync_channel_mem(ch);
+}
+
+void routed_mailbox::grow_local(arena& a, std::size_t frame) {
+  a.grow(frame);
+  sync_arena_mem();
+}
+
 void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   auto& ch = channels_[static_cast<std::size_t>(next_hop)];
-  if (ch.buf.empty()) return;
+  if (ch.empty()) return;
   const obs::phase_scope pscope(obs::phase::mbox_flush);
+  const std::size_t sent_bytes = ch.used;
   obs::trace_span span("mailbox.flush", "mailbox");
-  span.set_arg("bytes", static_cast<double>(ch.buf.size()));
+  span.set_arg("bytes", static_cast<double>(sent_bytes));
   const packet_header ph{next_packet_seq_[static_cast<std::size_t>(next_hop)]++,
                          ch.open_ts_us};
   std::memcpy(ch.buf.data(), &ph, sizeof(ph));
@@ -101,8 +126,7 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   }
   ch.open_ts_us = 0;
   ++stats_.packets_sent;
-  stats_.packet_bytes_sent += ch.buf.size();
-  const std::size_t sent_bytes = ch.buf.size();
+  stats_.packet_bytes_sent += sent_bytes;
   if (obs::metrics_on()) {
     matrix_.flush_packets[static_cast<std::size_t>(next_hop)] += 1;
     matrix_.flush_bytes[static_cast<std::size_t>(next_hop)] += sent_bytes;
@@ -123,10 +147,13 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   }
   ch.reserve_hint =
       std::min(sent_bytes * 2, cfg_.aggregation_bytes + sent_bytes);
-  // The arena becomes the packet payload wholesale; a moved-from vector is
-  // empty, so the channel is ready for its next open.
+  // The arena, trimmed to its cursor (no copy, no zero-fill), becomes the
+  // packet payload wholesale; a moved-from vector is empty, so the channel
+  // is ready for its next open.
+  ch.buf.resize(sent_bytes);
   comm_->send(next_hop, cfg_.tag, std::move(ch.buf));
   ch.buf.clear();
+  ch.used = 0;
   // The capacity left with the move (it is the in-flight packet now, the
   // transport's bytes, not the mailbox's); release it from the ledger.
   sync_channel_mem(ch);
@@ -161,7 +188,7 @@ void routed_mailbox::tick() {
       obs::mem_pressure() != obs::mem_pressure_level::ok) {
     std::size_t flushed = 0;
     for (const int hop : dirty_hops_) {
-      if (!channels_[static_cast<std::size_t>(hop)].buf.empty()) {
+      if (!channels_[static_cast<std::size_t>(hop)].empty()) {
         flush_channel(hop, flush_reason::manual);
         ++flushed;
       }
@@ -180,7 +207,7 @@ void routed_mailbox::tick() {
   std::size_t keep = 0;
   for (const int hop : dirty_hops_) {
     auto& ch = channels_[static_cast<std::size_t>(hop)];
-    if (ch.buf.empty()) continue;
+    if (ch.empty()) continue;
     if (tick_now_ - ch.opened_tick >= cfg_.max_age_ticks) {
       flush_channel(hop, flush_reason::age);
       continue;
@@ -205,13 +232,32 @@ bool routed_mailbox::validate_packet(std::span<const std::byte> payload) const {
   const std::size_t total = payload.size();
   const auto num_ranks = static_cast<std::uint32_t>(comm_->size());
   std::size_t off = sizeof(packet_header);
+  if (total - off >= sizeof(record_header)) {
+    // Fixed-size records (every visitor type): if the body is a whole
+    // number of first-record strides and every header at a stride names
+    // that same size, the header-to-header walk would visit exactly these
+    // headers.  Their offsets do not depend on each other's loads.
+    record_header first;
+    std::memcpy(&first, data + off, sizeof(first));
+    const std::size_t stride = sizeof(record_header) + first.size;
+    if ((total - off) % stride == 0) {
+      bool ok = true;
+      for (std::size_t at = off; at < total; at += stride) {
+        record_header hdr;
+        std::memcpy(&hdr, data + at, sizeof(hdr));
+        ok &= (hdr.size == first.size) & (hdr.final_dest < num_ranks) &
+              (hdr.origin < num_ranks);
+      }
+      if (ok) return true;
+    }
+  }
   while (off < total) {
     if (total - off < sizeof(record_header)) return false;
     record_header hdr;
     std::memcpy(&hdr, data + off, sizeof(hdr));
     off += sizeof(hdr);
     if (hdr.size > total - off) return false;
-    if (hdr.final_dest >= num_ranks) return false;
+    if (hdr.final_dest >= num_ranks || hdr.origin >= num_ranks) return false;
     off += hdr.size;
   }
   return true;

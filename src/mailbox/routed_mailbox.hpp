@@ -11,13 +11,16 @@
 /// mirrors how the paper multiplexes visitor traffic and termination-
 /// detection control traffic over one transport.
 ///
-/// Hot-path layout (DESIGN.md §8): every channel is one flat, pre-reserved
-/// byte arena — records are framed with a compact 8-byte header and
-/// appended in place; flush stamps the packet header and *moves* the whole
-/// arena into the transport (comm's rvalue send), so a record is copied
-/// exactly once between the caller and the wire.  Self-sends land in a
-/// flat local arena drained with span views — no per-record allocation
-/// anywhere.
+/// Hot-path layout (DESIGN.md §8): every channel is one flat byte arena
+/// framed with a write cursor — records are framed with a compact 8-byte
+/// header and written at the cursor into a buffer that grows
+/// geometrically and is zero-filled only when it grows, never per record;
+/// flush trims the buffer to the cursor, stamps the packet header and
+/// *moves* the whole arena into the transport (comm's rvalue send), so a
+/// record is copied exactly once between the caller and the wire.
+/// Self-sends land in a flat local arena drained with span views — no
+/// per-record allocation anywhere.  A packet whose records all share the
+/// first record's size is validated in one strided pass over its headers.
 ///
 /// Every packet opens with a per-(sender, receiver) sequence number, and
 /// process_packet() drops packets whose sequence it has already seen
@@ -87,10 +90,11 @@ class routed_mailbox {
 
   /// Queue one record for delivery to `final_dest` (may be this rank).
   /// Buffered until the channel fills or flush()/tick() pushes it out.
-  /// Defined inline below: a record is framed by one resize of its arena
-  /// (which reallocates only when the capacity runs out) and memcpys of
-  /// the header and payload into the new tail.  Visitors send fixed-size
-  /// records, so inlined, the payload copy has a constant size.
+  /// Defined inline below: a record is framed by memcpys of the header and
+  /// payload at its arena's write cursor, after one compare against the
+  /// zero-filled extent (which grows, out of line, only when it runs out).
+  /// Visitors send fixed-size records, so inlined, the payload copy has a
+  /// constant size.
   void send(int final_dest, std::span<const std::byte> record);
 
   /// Count one record of `bytes` payload that the caller addressed to this
@@ -221,15 +225,34 @@ class routed_mailbox {
   };
   static_assert(sizeof(record_header) == 8);
 
-  /// Write one frame (header, payload) at `out`, the tail an arena has
-  /// just been grown by.
-  static void write_frame(std::byte* out, const record_header& hdr,
-                          std::span<const std::byte> record) noexcept {
-    std::memcpy(out, &hdr, sizeof(hdr));
-    if (!record.empty()) {
-      std::memcpy(out + sizeof(hdr), record.data(), record.size());
+  /// A byte buffer framed with a write cursor: `buf.size()` is the
+  /// writable extent, zero-filled once when it grows, and `used` the
+  /// framed prefix.  Framing a record moves the cursor; nothing is resized
+  /// or zero-filled per record.
+  struct arena {
+    std::vector<std::byte> buf;
+    std::size_t used = 0;
+
+    [[nodiscard]] bool empty() const noexcept { return used == 0; }
+    [[nodiscard]] bool fits(std::size_t n) const noexcept {
+      return buf.size() - used >= n;
     }
-  }
+    /// Make `n` more bytes writable at the cursor: at least doubles the
+    /// extent, keeping the framed prefix.
+    void grow(std::size_t n) {
+      buf.resize(std::max(used + n, 2 * buf.size()));
+    }
+    /// Write one frame (header, payload) at the cursor; fits() held.
+    void append(const record_header& hdr,
+                std::span<const std::byte> record) noexcept {
+      std::byte* out = buf.data() + used;
+      std::memcpy(out, &hdr, sizeof(hdr));
+      if (!record.empty()) {
+        std::memcpy(out + sizeof(hdr), record.data(), record.size());
+      }
+      used += sizeof(hdr) + record.size();
+    }
+  };
 
   /// Chrome-trace flow id of one packet: the (sender, receiver, seq) key
   /// the mailbox stamps on it, packed exactly for ranks below 2^16 and a
@@ -246,16 +269,15 @@ class routed_mailbox {
   enum class flush_reason { size, age, manual };
 
   /// One next-hop aggregation arena plus its adaptive flush state.
-  struct channel {
-    std::vector<std::byte> buf;
-    std::uint64_t opened_tick = 0;    ///< tick() count when buf went non-empty
+  struct channel : arena {
+    std::uint64_t opened_tick = 0;    ///< tick() count when the arena opened
     std::uint64_t open_ts_us = 0;     ///< latency sample stamp; 0 = unsampled
     std::size_t watermark = 0;        ///< current effective flush size
-    /// Bytes to pre-reserve on open.  Flushing *moves* the arena into the
-    /// transport (capacity leaves with it), so each open must allocate;
-    /// tracking ~2x the last packet's size keeps that to one right-sized
-    /// malloc instead of reserving the whole watermark for a packet that
-    /// may carry a handful of records.
+    /// Writable bytes to size the arena to on open.  Flushing *moves* the
+    /// arena into the transport (capacity leaves with it), so each open
+    /// must allocate; tracking ~2x the last packet's size keeps that to
+    /// one right-sized malloc and zero-fill instead of sizing the whole
+    /// watermark for a packet that may carry a handful of records.
     std::size_t reserve_hint = 0;
     /// Capacity bytes currently charged to the memory ledger for this
     /// channel (mem_subsystem::mailbox_arena), synced at capacity
@@ -266,10 +288,19 @@ class routed_mailbox {
   /// Append a record to the buffer for its next hop (or local arena).
   void route_record(std::uint16_t origin, int final_dest,
                     std::span<const std::byte> record);
+  /// Cold halves of route_record, once per packet or per growth: size a
+  /// channel's fresh arena and reserve its packet header; grow an arena
+  /// that cannot take the next `frame` bytes.  Each re-syncs the ledger.
+  void open_channel(channel& ch, int hop, std::size_t frame);
+  void grow_channel(channel& ch, std::size_t frame);
+  void grow_local(arena& a, std::size_t frame);
   void flush_channel(int next_hop, flush_reason why);
 
-  /// Walk a packet payload checking that every record fits; true iff the
-  /// packet is structurally sound end to end.
+  /// True iff the packet (at least a packet header long) is structurally
+  /// sound end to end: every record fits and names ranks inside the
+  /// world.  Records that all share the first one's size are checked in
+  /// one strided pass over independent headers; anything else takes the
+  /// walk from header to header.
   [[nodiscard]] bool validate_packet(std::span<const std::byte> payload) const;
 
   /// Cold paths of process_packet, kept out of the template body: stats +
@@ -293,8 +324,8 @@ class routed_mailbox {
   std::uint64_t tick_now_ = 0;
   /// Self-sends: flat arena of (record_header, payload) frames.  Drained
   /// double-buffered so handlers can send to self mid-drain.
-  std::vector<std::byte> local_arena_;
-  std::vector<std::byte> local_scratch_;
+  arena local_arena_;
+  arena local_scratch_;
   bool draining_local_ = false;
   /// Next packet sequence number toward each next hop; a (sender, hop)
   /// pair is a unique channel, so a per-hop counter gives receiver-unique
@@ -314,9 +345,8 @@ class routed_mailbox {
   /// an O(ranks) walk over channels_.
   std::uint64_t channels_mem_charged_ = 0;
   /// One ledger entry for everything this mailbox buffers: the per-hop
-  /// aggregation arenas plus the local double buffer.  Synced at capacity
-  /// transitions, so bytes between sync points (a mid-append vector grow)
-  /// are undercounted only until the next flush/open.
+  /// aggregation arenas plus the local double buffer.  Synced at every
+  /// capacity transition — open, growth, flush move-out.
   obs::mem_tracker arena_mem_{obs::mem_subsystem::mailbox_arena};
 
   /// Re-sync `ch`'s capacity into the ledger; call whenever its buffer's
@@ -330,8 +360,8 @@ class routed_mailbox {
     sync_arena_mem();
   }
   void sync_arena_mem() noexcept {
-    arena_mem_.set(channels_mem_charged_ + local_arena_.capacity() +
-                   local_scratch_.capacity());
+    arena_mem_.set(channels_mem_charged_ + local_arena_.buf.capacity() +
+                   local_scratch_.buf.capacity());
   }
 };
 
@@ -359,39 +389,22 @@ inline void routed_mailbox::route_record(std::uint16_t origin, int final_dest,
     // Self-sends go to the flat local arena, framed exactly like a packet
     // record; drain_local hands out span views into it (no per-record
     // allocation, see the zero-alloc test).
-    auto& arena = draining_local_ ? local_scratch_ : local_arena_;
-    if (arena.empty() && local_open_ts_us_ == 0 && obs::metrics_on()) {
+    auto& a = draining_local_ ? local_scratch_ : local_arena_;
+    if (a.empty() && local_open_ts_us_ == 0 && obs::metrics_on()) {
       // Stamped like a remote channel open; the drain records one latency
       // sample per round.
       local_open_ts_us_ = now_us();
     }
-    const std::size_t at = arena.size();
-    arena.resize(at + frame);
-    write_frame(arena.data() + at, hdr, record);
-    sync_arena_mem();
+    if (!a.fits(frame)) grow_local(a, frame);
+    a.append(hdr, record);
     return;
   }
   const int hop = router_.next_hop(comm_->rank(), final_dest);
   auto& ch = channels_[static_cast<std::size_t>(hop)];
-  if (ch.buf.empty()) {
-    // Size the fresh arena from the last packet, not the watermark: a
-    // sparse channel would pay a watermark-sized malloc for a tiny packet.
-    // The sequence number is stamped at flush time so buffers never carry
-    // a stale one.
-    ch.buf.reserve(std::max(
-        ch.reserve_hint,
-        sizeof(packet_header) + sizeof(record_header) + record.size()));
-    ch.buf.resize(sizeof(packet_header));
-    ch.opened_tick = tick_now_;
-    ch.open_ts_us = obs::metrics_on() ? now_us() : 0;
-    dirty_hops_.push_back(hop);
-    ++dirty_count_;
-  }
-  const std::size_t at = ch.buf.size();
-  ch.buf.resize(at + frame);
-  write_frame(ch.buf.data() + at, hdr, record);
-  sync_channel_mem(ch);
-  if (ch.buf.size() >= ch.watermark) flush_channel(hop, flush_reason::size);
+  if (ch.empty()) open_channel(ch, hop, frame);
+  if (!ch.fits(frame)) grow_channel(ch, frame);
+  ch.append(hdr, record);
+  if (ch.used >= ch.watermark) flush_channel(hop, flush_reason::size);
 }
 
 template <typename F>
@@ -471,8 +484,8 @@ std::size_t routed_mailbox::drain_local(F&& deliver) {
       }
       local_open_ts_us_ = 0;
     }
-    const std::byte* data = local_arena_.data();
-    const std::size_t total = local_arena_.size();
+    const std::byte* data = local_arena_.buf.data();
+    const std::size_t total = local_arena_.used;
     std::size_t off = 0;
     while (off < total) {
       record_header hdr;
@@ -490,11 +503,10 @@ std::size_t routed_mailbox::drain_local(F&& deliver) {
               std::span<const std::byte>(data + off, hdr.size));
       off += hdr.size;
     }
-    local_arena_.clear();
+    local_arena_.used = 0;
     std::swap(local_arena_, local_scratch_);
   }
   draining_local_ = false;
-  sync_arena_mem();
   return delivered;
 }
 

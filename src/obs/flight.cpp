@@ -54,6 +54,7 @@ const char* flight_kind_name(flight_kind k) noexcept {
     case flight_kind::term_wave: return "term_wave";
     case flight_kind::term_report: return "term_report";
     case flight_kind::term_done: return "term_done";
+    case flight_kind::term_reject: return "term_reject";
     case flight_kind::fault_stall: return "fault_stall";
     case flight_kind::fault_duplicate: return "fault_duplicate";
     case flight_kind::fault_delay: return "fault_delay";

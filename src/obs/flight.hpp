@@ -41,6 +41,7 @@ enum class flight_kind : std::uint32_t {
   term_wave,        ///< a = wave ordinal
   term_report,      ///< a = sent count, b = received count
   term_done,        ///< a = wave ordinal that proved quiescence
+  term_reject,      ///< a = source rank, b = control message bytes
   fault_stall,      ///< a = stall us (injected mid-traversal stall)
   fault_duplicate,  ///< a = destination rank (injected duplicated packet)
   fault_delay,      ///< a = destination rank, b = delay us (injected)
@@ -65,7 +66,7 @@ void install_flight_signal_dumps();
 /// The gate: a bit of the shared toggle word that defaults to ON (the
 /// recorder is the black box — it must already be running when the fault
 /// happens).
-[[nodiscard]] inline bool flight_on() noexcept {
+[[nodiscard, gnu::always_inline]] inline bool flight_on() noexcept {
   return detail::any_on(detail::kFlightBit);
 }
 

@@ -90,7 +90,11 @@ struct obs_toggles {
 extern constinit obs_toggles toggles;
 
 /// True iff any switch in `mask` is on: one relaxed load, one branch.
-[[nodiscard]] inline bool any_on(std::uint32_t mask) noexcept {
+/// This and every gate built on it are forced inline, as phase_scope is:
+/// in a large translation unit GCC otherwise may emit a gate out of line,
+/// and the load becomes a call on whatever hot path tests it.
+[[nodiscard, gnu::always_inline]] inline bool any_on(
+    std::uint32_t mask) noexcept {
   return (toggles.on.load(std::memory_order_relaxed) & mask) != 0;
 }
 
@@ -107,19 +111,19 @@ inline void set_switch(std::uint32_t bit, bool on) noexcept {
 /// The data gate: true while the metrics report or the time-series
 /// sampler is armed.  Every registry, traffic-matrix and storage-I/O site
 /// checks it: one relaxed load, one predictable branch.
-[[nodiscard]] inline bool metrics_on() noexcept {
+[[nodiscard, gnu::always_inline]] inline bool metrics_on() noexcept {
   return detail::any_on(detail::kMetricsBit | detail::kTimeseriesBit);
 }
 
 /// The time-series sampler's gate (ts_poll in timeseries.hpp).
-[[nodiscard]] inline bool ts_on() noexcept {
+[[nodiscard, gnu::always_inline]] inline bool ts_on() noexcept {
   return detail::any_on(detail::kTimeseriesBit);
 }
 
 /// Critical-path span-log gate (span.hpp): strictly opt-in via SFG_SPANS
 /// (or set_spans_enabled) — span rings cost memory per rank and a ring
 /// write per phase transition, so metrics alone never imply them.
-[[nodiscard]] inline bool spans_on() noexcept {
+[[nodiscard, gnu::always_inline]] inline bool spans_on() noexcept {
   return detail::any_on(detail::kSpansBit);
 }
 
@@ -127,7 +131,7 @@ inline void set_switch(std::uint32_t bit, bool on) noexcept {
 /// end-of-traversal registry fold (metrics), the live sampler
 /// (timeseries) and the span log's self-time segments (critpath), so they
 /// run whenever any consumer is on.
-[[nodiscard]] inline bool phase_on() noexcept {
+[[nodiscard, gnu::always_inline]] inline bool phase_on() noexcept {
   return detail::any_on(detail::kMetricsBit | detail::kTimeseriesBit |
                         detail::kSpansBit);
 }
@@ -135,13 +139,17 @@ inline void set_switch(std::uint32_t bit, bool on) noexcept {
 /// The rank x rank traffic matrix (mailbox/routed_mailbox.hpp) and the
 /// storage I/O histograms (page_cache.hpp, block_device.hpp) run under
 /// the data gate; these names stay for callers that list every gate.
-[[nodiscard]] inline bool comm_matrix_on() noexcept { return metrics_on(); }
-[[nodiscard]] inline bool io_hist_on() noexcept { return metrics_on(); }
+[[nodiscard, gnu::always_inline]] inline bool comm_matrix_on() noexcept {
+  return metrics_on();
+}
+[[nodiscard, gnu::always_inline]] inline bool io_hist_on() noexcept {
+  return metrics_on();
+}
 
 /// Memory-attribution gate (mem.hpp): the per-rank per-subsystem byte
 /// counters update under the data gate, or while a budget is armed (the
 /// pressure ladder cannot fire without the accounting that feeds it).
-[[nodiscard]] inline bool mem_on() noexcept {
+[[nodiscard, gnu::always_inline]] inline bool mem_on() noexcept {
   return detail::any_on(detail::kMetricsBit | detail::kTimeseriesBit |
                         detail::kMemBudgetBit);
 }

@@ -28,7 +28,7 @@
 namespace sfg::obs {
 
 /// The cached-bool gate for tracing (SFG_TRACE or set_trace_enabled).
-[[nodiscard]] inline bool trace_on() noexcept {
+[[nodiscard, gnu::always_inline]] inline bool trace_on() noexcept {
   return detail::any_on(detail::kTraceBit);
 }
 

@@ -51,6 +51,14 @@ void tree_termination::on_message(const message& m) {
   // the poll phase's recv loop (the scope nests out of `poll`).
   const obs::phase_scope pscope(obs::phase::term);
   assert(m.tag == tag_);
+  if (m.payload.size() != sizeof(control_msg)) {
+    // A short (or padded) payload is no control message: decoding it would
+    // read past its allocation, and a stray kind byte could end the
+    // traversal.  Drop it like a rejected mailbox packet.
+    obs::flight_record(obs::flight_kind::term_reject,
+                       static_cast<std::uint64_t>(m.source), m.payload.size());
+    return;
+  }
   const auto cm = m.as<control_msg>();
   switch (cm.kind) {
     case msg_kind::wave_req:

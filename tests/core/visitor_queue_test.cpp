@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <type_traits>
@@ -12,6 +13,7 @@
 #include "core/bfs.hpp"
 #include "core/kcore.hpp"
 #include "core/test_helpers.hpp"
+#include "core/triangles.hpp"
 #include "gen/generators.hpp"
 #include "graph/distributed_graph.hpp"
 #include "reference/serial_graph.hpp"
@@ -163,6 +165,131 @@ TEST(VisitorQueue, BackToBackTraversalsOnOneGraph) {
       for (const auto& [gid, level] : levels) {
         ASSERT_EQ(level, expected[gid]);
       }
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Counters of in-place local delivery
+// ---------------------------------------------------------------------------
+
+/// The repo benchmark's counter invariant over one traversal: the mailbox
+/// delta opens at do_traversal, after the seed pushes were sent, and
+/// closes after they were delivered, so summed records_sent plus the seeds
+/// equals summed records_delivered.  Pushes checked in place count as
+/// sent and delivered at once.
+void expect_balanced(comm& c, const traversal_stats& st, std::uint64_t seeds,
+                     const char* what) {
+  const auto sent = c.all_reduce(st.mailbox.records_sent, std::plus<>());
+  const auto delivered =
+      c.all_reduce(st.mailbox.records_delivered, std::plus<>());
+  EXPECT_EQ(sent + seeds, delivered) << what << " at p=" << c.size();
+  EXPECT_GT(sent, 0u) << what;
+}
+
+class LocalDeliveryCounters : public ::testing::TestWithParam<int> {};
+
+TEST_P(LocalDeliveryCounters, SentPlusSeedsEqualsDelivered) {
+  const int p = GetParam();
+  gen::rmat_config rc{.scale = 8, .edge_factor = 8, .seed = 95};
+  const auto edges = gen::rmat_slice(rc, 0, rc.num_edges());
+  const auto ref = reference::serial_graph::from_edges(edges);
+  const auto kcore_alive = reference::serial_kcore(ref, 4);
+  const auto kcore_size = static_cast<std::uint64_t>(
+      std::count(kcore_alive.begin(), kcore_alive.end(), true));
+  const auto triangles = reference::serial_triangle_count(ref);
+  launch(p, [&](comm& c) {
+    const auto range = gen::slice_for_rank(edges.size(), c.rank(), p);
+    std::vector<edge64> mine(
+        edges.begin() + static_cast<std::ptrdiff_t>(range.begin),
+        edges.begin() + static_cast<std::ptrdiff_t>(range.end));
+    auto g = build_in_memory_graph(c, mine, {.num_ghosts = 16});
+    // Back to back on one graph, one seed each.
+    for (const std::uint64_t src :
+         {edges[0].src, edges[7].src, edges[13].src}) {
+      const auto expected = reference::serial_bfs(ref, src);
+      auto r = run_bfs(g, g.locate(src));
+      expect_balanced(c, r.stats, 1, "bfs");
+      const auto levels = gather_global(c, g, [&](std::size_t s) {
+        return r.state.local(s).level;
+      });
+      for (const auto& [gid, level] : levels) {
+        ASSERT_EQ(level, expected[gid]) << "source " << src;
+      }
+    }
+    // k-core and triangles seed one visitor per master vertex.
+    const auto kc = run_kcore(g, 4);
+    expect_balanced(c, kc.stats, g.total_vertices(), "kcore");
+    EXPECT_EQ(kc.core_size, kcore_size);
+    const auto tri = run_triangle_count(g);
+    expect_balanced(c, tri.stats, g.total_vertices(), "triangles");
+    EXPECT_EQ(tri.total_triangles, triangles);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, LocalDeliveryCounters,
+                         ::testing::Values(1, 4));
+
+struct countdown_state {
+  std::uint64_t deliveries = 0;
+};
+
+/// Re-pushes itself to its own vertex until `ttl` runs out: every push
+/// made inside do_traversal targets a vertex this rank masters.
+struct countdown_visitor {
+  graph::vertex_locator vertex;
+  std::uint32_t ttl = 0;
+
+  static constexpr bool uses_ghosts = false;
+
+  bool pre_visit(countdown_state& s) const {
+    ++s.deliveries;
+    return true;
+  }
+
+  template <typename Graph, typename State, typename VQ>
+  void visit(const Graph&, std::size_t, State&, VQ& vq) const {
+    if (ttl > 0) vq.push(countdown_visitor{vertex, ttl - 1});
+  }
+
+  bool operator<(const countdown_visitor& o) const { return ttl > o.ttl; }
+};
+
+TEST(VisitorQueue, SeedsWaitInTheLocalArenaOnEveryTraversal) {
+  // A reused queue: before each do_traversal, a seed for a vertex this
+  // rank masters is buffered in the mailbox's local arena, not applied,
+  // and the traversal's drain delivers it.  The re-pushes inside the
+  // traversal are applied in place and counted as sent and delivered.
+  gen::rmat_config rc{.scale = 6, .edge_factor = 8, .seed = 96};
+  const auto edges = gen::rmat_slice(rc, 0, rc.num_edges());
+  launch(3, [&](comm& c) {
+    const auto range = gen::slice_for_rank(edges.size(), c.rank(), 3);
+    std::vector<edge64> mine(
+        edges.begin() + static_cast<std::ptrdiff_t>(range.begin),
+        edges.begin() + static_cast<std::ptrdiff_t>(range.end));
+    auto g = build_in_memory_graph(c, mine, {});
+    std::size_t seed_slot = g.num_slots();
+    for (std::size_t s = 0; s < g.num_slots() && seed_slot == g.num_slots();
+         ++s) {
+      if (g.is_master(s)) seed_slot = s;
+    }
+    ASSERT_LT(seed_slot, g.num_slots()) << "rank " << c.rank();
+    auto state = g.make_state<countdown_state>(countdown_state{});
+    using graph_t = std::remove_reference_t<decltype(g)>;
+    visitor_queue<graph_t, countdown_visitor, decltype(state)> vq(g, state);
+    constexpr std::uint32_t kTtl = 5;
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      vq.push(countdown_visitor{g.locator_of(seed_slot), kTtl});
+      EXPECT_FALSE(vq.mail().idle()) << "seed applied before the traversal";
+      EXPECT_EQ(state.local(seed_slot).deliveries, round * (kTtl + 1));
+      vq.do_traversal();
+      EXPECT_EQ(state.local(seed_slot).deliveries, (round + 1) * (kTtl + 1));
+      EXPECT_TRUE(vq.mail().idle());
+      // The queue's stats add up its traversals' deltas.
+      EXPECT_EQ(vq.stats().mailbox.records_sent, (round + 1) * kTtl);
+      EXPECT_EQ(vq.stats().mailbox.records_delivered,
+                (round + 1) * (kTtl + 1));
+      EXPECT_EQ(vq.stats().mailbox.packets_sent, 0u);
     }
   });
 }

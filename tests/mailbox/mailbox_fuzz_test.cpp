@@ -11,6 +11,10 @@
 ///     stats().packets_rejected, and — critically — does NOT consume its
 ///     sequence number, so an intact retransmission of the same packet
 ///     still delivers.
+///   - Strided validation: seeded uniform, mixed-size, truncated,
+///     bad-destination, bad-origin and stride-aliased payloads get the
+///     same verdict, deliveries, forwards and sequence consumption from
+///     process_packet as from a reference header-to-header walk.
 ///   - Dedup equivalence: seq_window (the O(1) sliding-window structure
 ///     that replaced the per-source unordered_set of every seq ever seen)
 ///     gives verdicts identical to the reference set under seeded
@@ -25,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -184,6 +189,183 @@ TEST(MailboxFuzz, TruncatedPacketsRejectedWithoutConsumingSeq) {
   // ...and a second intact copy is now a duplicate.
   EXPECT_EQ(m1.process_packet(m, [](int, std::span<const std::byte>) {}), 0u);
   EXPECT_EQ(m1.stats().packets_dropped_duplicate, 1u);
+}
+
+/// One record of a hand-built packet, in wire order.
+struct wire_frame {
+  std::uint16_t final_dest;
+  std::uint16_t origin;
+  std::uint32_t size;  ///< the header's size field (may lie)
+  std::vector<std::byte> body;
+};
+
+/// Serialize a packet: 16-byte header (seq, unstamped latency), then each
+/// record's 8-byte header and body.
+std::vector<std::byte> build_packet(std::uint64_t seq,
+                                    const std::vector<wire_frame>& frames) {
+  std::vector<std::byte> out(16);
+  std::memcpy(out.data(), &seq, sizeof(seq));
+  for (const auto& f : frames) {
+    const std::size_t at = out.size();
+    out.resize(at + 8 + f.body.size());
+    std::memcpy(out.data() + at, &f.final_dest, 2);
+    std::memcpy(out.data() + at + 2, &f.origin, 2);
+    std::memcpy(out.data() + at + 4, &f.size, 4);
+    if (!f.body.empty()) {
+      std::memcpy(out.data() + at + 8, f.body.data(), f.body.size());
+    }
+  }
+  return out;
+}
+
+struct walk_verdict {
+  bool ok = false;
+  std::vector<std::pair<int, std::vector<std::byte>>> delivered;
+  std::uint64_t forwarded = 0;
+};
+
+/// The reference: walk from header to header, rejecting the packet whole
+/// if any record overruns it or names a rank outside the world; only then
+/// hand out the records addressed to `self` and count the rest.
+walk_verdict reference_walk(const std::vector<std::byte>& payload, int p,
+                            int self) {
+  walk_verdict v;
+  const auto num_ranks = static_cast<std::uint32_t>(p);
+  std::vector<std::pair<std::size_t, std::array<std::uint32_t, 3>>> records;
+  std::size_t off = 16;
+  if (payload.size() < off) return v;
+  while (off < payload.size()) {
+    if (payload.size() - off < 8) return v;
+    std::uint16_t dest = 0;
+    std::uint16_t origin = 0;
+    std::uint32_t size = 0;
+    std::memcpy(&dest, payload.data() + off, 2);
+    std::memcpy(&origin, payload.data() + off + 2, 2);
+    std::memcpy(&size, payload.data() + off + 4, 4);
+    off += 8;
+    if (size > payload.size() - off || dest >= num_ranks ||
+        origin >= num_ranks) {
+      return v;
+    }
+    records.push_back({off, {dest, origin, size}});
+    off += size;
+  }
+  v.ok = true;
+  for (const auto& [at, h] : records) {
+    if (static_cast<int>(h[0]) == self) {
+      const auto* b = payload.data() + at;
+      v.delivered.emplace_back(static_cast<int>(h[1]),
+                               std::vector<std::byte>(b, b + h[2]));
+    } else {
+      ++v.forwarded;
+    }
+  }
+  return v;
+}
+
+TEST(MailboxFuzz, StridedValidationMatchesReferenceWalk) {
+  constexpr int kRanks = 4;
+  constexpr int kSelf = 1;
+  constexpr int kSource = 0;
+  runtime::world w(kRanks);
+  routed_mailbox mb(w.rank_comm(kSelf), {topology::direct, 1 << 16, kMailTag});
+  util::chaos_stream cs(20261019, /*stream_id=*/0x57121du);
+  const std::uint32_t sizes[] = {0, 1, 7, 8, 16, 24, 100};
+  auto pick_size = [&] { return sizes[cs.below(std::size(sizes))]; };
+  auto frame = [&](std::uint32_t size) {
+    wire_frame f{static_cast<std::uint16_t>(cs.below(kRanks)),
+                 static_cast<std::uint16_t>(cs.below(kRanks)), size, {}};
+    f.body = pattern_record(size, cs.below(1u << 30));
+    return f;
+  };
+
+  enum shape { uniform, mixed, truncated, bad_dest, bad_origin, aliased,
+               lying, kShapes };
+  std::uint64_t accepted = 0;
+  for (std::uint64_t round = 0; round < 3000; ++round) {
+    const auto kind = static_cast<shape>(round % kShapes);
+    const std::uint64_t seq = round;
+    std::vector<wire_frame> frames;
+    const std::uint32_t a = pick_size();
+    const std::uint32_t stride = 8 + a;
+    const bool any_count = kind == uniform || kind == mixed ||
+                           kind == truncated;
+    const std::size_t n = any_count ? cs.below(40) : 2 + cs.below(30);
+    for (std::size_t i = 0; i < n; ++i) {
+      frames.push_back(frame(kind == mixed ? pick_size() : a));
+    }
+    const std::size_t k =
+        frames.size() < 2 ? 0 : 1 + cs.below(frames.size() - 1);
+    switch (kind) {
+      case bad_dest:
+        frames[k - cs.below(2)].final_dest =
+            static_cast<std::uint16_t>(kRanks + cs.below(1000));
+        break;
+      case bad_origin:
+        frames[k - cs.below(2)].origin =
+            static_cast<std::uint16_t>(kRanks + cs.below(1000));
+        break;
+      case aliased:
+        // The body stays a whole number of first-record strides, but the
+        // k-th record spans j strides: valid, and only a walk reads it.
+        frames[k] = frame(a + stride * static_cast<std::uint32_t>(
+                                          1 + cs.below(3)));
+        break;
+      case lying:
+        // Same body length, but the k-th header names another size: the
+        // walk either overruns or misreads the headers after it.
+        frames[k].size = static_cast<std::uint32_t>(
+            cs.decide(0.5) ? a + stride * (1 + cs.below(2))
+                           : (a + 1 + cs.below(stride)) % (2 * stride));
+        if (frames[k].size == a) frames[k].size = a + stride;
+        break;
+      default:
+        break;
+    }
+    auto payload = build_packet(seq, frames);
+    if (kind == truncated && payload.size() > 16) {
+      payload.resize(16 + cs.below(payload.size() - 16));
+    }
+
+    const walk_verdict want = reference_walk(payload, kRanks, kSelf);
+    accepted += want.ok ? 1 : 0;
+    const auto before = mb.stats();
+    runtime::message m;
+    m.source = kSource;
+    m.tag = kMailTag;
+    m.payload = payload;
+    std::vector<std::pair<int, std::vector<std::byte>>> got;
+    const std::size_t n_delivered = mb.process_packet(
+        m, [&](int origin, std::span<const std::byte> bytes) {
+          got.emplace_back(origin,
+                           std::vector<std::byte>(bytes.begin(), bytes.end()));
+        });
+    const auto after = mb.stats();
+    ASSERT_EQ(after.packets_rejected - before.packets_rejected,
+              want.ok ? 0u : 1u)
+        << "round " << round << " shape " << kind;
+    ASSERT_EQ(got, want.delivered) << "round " << round << " shape " << kind;
+    ASSERT_EQ(n_delivered, want.delivered.size());
+    ASSERT_EQ(after.records_forwarded - before.records_forwarded,
+              want.forwarded)
+        << "round " << round << " shape " << kind;
+
+    // A rejected packet leaves its seq unconsumed, so a header-only packet
+    // with the same seq delivers; an accepted one makes it a duplicate.
+    runtime::message probe;
+    probe.source = kSource;
+    probe.tag = kMailTag;
+    probe.payload = build_packet(seq, {});
+    mb.process_packet(probe, [](int, std::span<const std::byte>) {});
+    ASSERT_EQ(mb.stats().packets_dropped_duplicate -
+                  after.packets_dropped_duplicate,
+              want.ok ? 1u : 0u)
+        << "round " << round << " shape " << kind;
+  }
+  // Both verdicts were exercised: uniform, mixed and aliased packets are
+  // all sound, bad-destination and bad-origin ones never are.
+  EXPECT_GT(accepted, 3000u / 3);
+  EXPECT_LT(accepted, 3000u * 2 / 3);
 }
 
 TEST(MailboxFuzz, SeqWindowMatchesReferenceSetUnderChaosSchedules) {

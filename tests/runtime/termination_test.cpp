@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "runtime/runtime.hpp"
 #include "term_detectors.hpp"
 
@@ -255,6 +256,47 @@ TEST_P(TerminationP, TreeRunsMultipleWaves) {
       EXPECT_GE(det.waves_completed(), 2u);
     }
     c.barrier();
+  });
+}
+
+TEST_P(TerminationP, TreeDropsMalformedControlMessage) {
+  // A control payload of the wrong size is dropped, not decoded: a lone
+  // kind byte 3 reads as DONE, and decoding it used to read 23 bytes past
+  // the allocation and end the traversal on this rank.  Each drop is
+  // recorded in the flight log, and the detector still terminates
+  // normally on real work afterwards.
+  const int p = GetParam();
+  launch(p, [p](comm& c) {
+    tree_termination det(c, kCtrlTag);
+    std::vector<std::vector<std::byte>> bad = {{std::byte{0x03}}};
+    bad.emplace_back(25, std::byte{0});
+    bad.back()[0] = std::byte{0x03};
+    for (const auto& payload : bad) {
+      message m;
+      m.source = (c.rank() + 1) % p;
+      m.tag = kCtrlTag;
+      m.payload = payload;
+      const std::uint64_t before = obs::flight_recorded_here();
+      det.on_message(m);
+      EXPECT_FALSE(det.finished()) << payload.size() << "-byte payload";
+      EXPECT_EQ(obs::flight_recorded_here() - before,
+                obs::flight_on() ? 1u : 0u);
+    }
+    std::uint64_t initial = 0;
+    if (c.rank() == 0) {
+      c.send_value(p - 1, kDataTag, 5);
+      initial = 1;
+    }
+    const auto [sent, recv] = drive(c, det, initial, [&](const message& m) {
+      const int ttl = m.as<int>();
+      if (ttl > 0) {
+        c.send_value((c.rank() + 1) % p, kDataTag, ttl - 1);
+        return 1;
+      }
+      return 0;
+    });
+    EXPECT_EQ(c.all_reduce(sent, std::plus<>()), 6u);
+    EXPECT_EQ(c.all_reduce(recv, std::plus<>()), 6u);
   });
 }
 
