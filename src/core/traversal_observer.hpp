@@ -42,9 +42,10 @@ struct traversal_stats {
   std::uint64_t ghost_filtered = 0;      ///< pushes suppressed by a ghost
   std::uint64_t pre_visit_rejected = 0;  ///< deliveries gated out
   std::uint32_t termination_waves = 0;
-  /// Mailbox-level view of this traversal: the mailbox's own stats struct
-  /// embedded whole (delta over the traversal, so reused queues report
-  /// per-traversal numbers), instead of hand-copied fields.
+  /// Mailbox-level view: the mailbox's own stats struct embedded whole,
+  /// instead of hand-copied fields.  Each traversal's end adds its delta,
+  /// so like the other fields it accumulates over a reused queue's
+  /// traversals until reset_stats().
   mailbox::routed_mailbox::mailbox_stats mailbox{};
   /// Phase-attributed self time of this rank's poll loop (obs/phase.hpp):
   /// where the traversal's wall clock actually went.  Folded from the

@@ -3,6 +3,7 @@
 /// consumed by the distributed graph builder.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 
@@ -22,6 +23,15 @@ struct edge64 {
 struct by_src_dst {
   constexpr bool operator()(const edge64& a, const edge64& b) const noexcept {
     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  }
+};
+
+/// The same order as a key projection for the radix and sample sorts
+/// (sort/radix_sort.hpp): the key words {src, dst}.
+struct src_dst_key {
+  constexpr std::array<std::uint64_t, 2> operator()(
+      const edge64& e) const noexcept {
+    return {e.src, e.dst};
   }
 };
 

@@ -1,6 +1,8 @@
 #include "gen/generators.hpp"
 
+#include <array>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace sfg::gen {
@@ -28,6 +30,53 @@ void symmetrize(std::vector<edge64>& edges) {
 // RMAT
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// uniform_real() is m * 2^-53 for the 53-bit draw m = x >> 11, so
+/// `uniform_real() >= t` holds exactly when m >= ceil(t * 2^53) (the
+/// product is exact: a power-of-two scale).  A t of 1 or more, or NaN,
+/// never holds (2^53 exceeds every m); a t of 0 or less always does.
+std::uint64_t draw_threshold(double t) {
+  constexpr std::uint64_t kNever = std::uint64_t{1} << 53;
+  if (!(t < 1.0)) return kNever;
+  if (t <= 0.0) return 0;
+  return static_cast<std::uint64_t>(std::ceil(t * 0x1p53));
+}
+
+/// The quadrant thresholds of one level's draw: src bit set at or above
+/// a+b, dst bit set in [a, a+b) or at or above a+b+c.
+struct rmat_thresholds {
+  std::uint64_t a;
+  std::uint64_t ab;
+  std::uint64_t abc;
+};
+
+/// Edges [i, i + kLanes) of the RMAT edge list, unpermuted.  The lanes'
+/// xoshiro streams are independent, so drawing them in lockstep overlaps
+/// their dependency chains; every bit is a compare, with no branch.
+template <std::size_t kLanes>
+std::array<edge64, kLanes> rmat_lanes(std::uint64_t seed, unsigned scale,
+                                      const rmat_thresholds& t,
+                                      std::uint64_t i) {
+  util::xoshiro256 rng[kLanes];
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    rng[k] = util::make_stream(seed, i + k);
+  }
+  std::array<edge64, kLanes> out{};
+  for (unsigned level = 0; level < scale; ++level) {
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      const std::uint64_t m = rng[k]() >> 11;
+      const std::uint64_t src_bit = m >= t.ab;
+      const std::uint64_t dst_bit = ((m >= t.a) & (m < t.ab)) | (m >= t.abc);
+      out[k].src = (out[k].src << 1) | src_bit;
+      out[k].dst = (out[k].dst << 1) | dst_bit;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<edge64> rmat_slice(const rmat_config& cfg, std::uint64_t begin,
                                std::uint64_t end) {
   assert(end <= cfg.num_edges());
@@ -35,26 +84,24 @@ std::vector<edge64> rmat_slice(const rmat_config& cfg, std::uint64_t begin,
   const double abc = ab + cfg.c;
   if (abc >= 1.0001) throw std::invalid_argument("rmat: a+b+c must be <= 1");
 
-  const random_permutation perm(cfg.num_vertices(), cfg.seed ^ 0x9e37);
+  // Quadrant choice per level: (0,0) with prob a, (0,1) b, (1,0) c,
+  // (1,1) d, decided on the draw's integer bits.
+  const rmat_thresholds t{draw_threshold(cfg.a), draw_threshold(ab),
+                          draw_threshold(abc)};
+  constexpr std::size_t kLanes = 4;
   std::vector<edge64> out;
   out.reserve(end - begin);
-  for (std::uint64_t i = begin; i < end; ++i) {
-    auto rng = util::make_stream(cfg.seed, i);
-    std::uint64_t src = 0;
-    std::uint64_t dst = 0;
-    for (unsigned level = 0; level < cfg.scale; ++level) {
-      const double r = rng.uniform_real();
-      // Quadrant choice: (0,0) with prob a, (0,1) b, (1,0) c, (1,1) d.
-      const std::uint64_t src_bit = r >= ab ? 1 : 0;
-      const std::uint64_t dst_bit = (r >= cfg.a && r < ab) || r >= abc ? 1 : 0;
-      src = (src << 1) | src_bit;
-      dst = (dst << 1) | dst_bit;
-    }
-    if (cfg.permute_labels) {
-      src = perm(src);
-      dst = perm(dst);
-    }
-    out.push_back({src, dst});
+  std::uint64_t i = begin;
+  for (; end - i >= kLanes; i += kLanes) {
+    const auto lanes = rmat_lanes<kLanes>(cfg.seed, cfg.scale, t, i);
+    out.insert(out.end(), lanes.begin(), lanes.end());
+  }
+  for (; i < end; ++i) {
+    out.push_back(rmat_lanes<1>(cfg.seed, cfg.scale, t, i)[0]);
+  }
+  if (cfg.permute_labels) {
+    const random_permutation perm(cfg.num_vertices(), cfg.seed ^ 0x9e37);
+    for (auto& e : out) e = {perm(e.src), perm(e.dst)};
   }
   return out;
 }

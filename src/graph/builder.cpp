@@ -1,10 +1,13 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <unordered_map>
 
 #include "gen/generators.hpp"
 #include "obs/mem.hpp"
+#include "sort/radix_sort.hpp"
 #include "sort/sample_sort.hpp"
 
 namespace sfg::graph {
@@ -23,10 +26,17 @@ struct owner_report {
 };
 
 /// Ascending (gid, owner): the owner rank is a locator's top bits.
-bool by_gid_owner(const owner_report& a, const owner_report& b) {
-  return a.global_id != b.global_id ? a.global_id < b.global_id
-                                    : a.locator_bits < b.locator_bits;
-}
+struct gid_owner_key {
+  std::array<std::uint64_t, 2> operator()(const owner_report& r) const {
+    return {r.global_id, r.locator_bits};
+  }
+};
+
+/// One edge's target and its position in the rank's sorted edges.
+struct target_ref {
+  std::uint64_t global_id;
+  std::uint64_t position;
+};
 
 /// Wire records for sink discovery.
 struct dir_request {
@@ -68,7 +78,7 @@ void dedup_across_boundaries(runtime::comm& c, std::vector<edge64>& edges) {
 std::vector<edge64> place_sorted_chunks(runtime::comm& c,
                                         std::vector<edge64> edges,
                                         bool remove_duplicates) {
-  edges = sort::sample_sort(c, std::move(edges), by_src_dst{});
+  edges = sort::sample_sort(c, std::move(edges), gen::src_dst_key{});
   if (remove_duplicates) {
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     dedup_across_boundaries(c, edges);
@@ -162,7 +172,7 @@ partition_blueprint build_partition(runtime::comm& c,
     for (const auto& batch : c.all_to_allv(reports)) {
       held.insert(held.end(), batch.begin(), batch.end());
     }
-    std::sort(held.begin(), held.end(), by_gid_owner);
+    sort::radix_sort(held, gid_owner_key{});
     directory.reserve(held.size());
     std::vector<owner_report> split_reports;
     for (std::size_t i = 0, j = 0; i < held.size(); i = j) {
@@ -178,7 +188,7 @@ partition_blueprint build_partition(runtime::comm& c,
     // the identical split table, ascending by gid.
     auto all_split =
         c.all_gatherv(std::span<const owner_report>(split_reports), nullptr);
-    std::sort(all_split.begin(), all_split.end(), by_gid_owner);
+    sort::radix_sort(all_split, gid_owner_key{});
     for (std::size_t i = 0; i < all_split.size();) {
       split_entry e;
       e.global_id = all_split[i].global_id;
@@ -216,18 +226,30 @@ partition_blueprint build_partition(runtime::comm& c,
   }
 
   // ---- phase 6: target relabel + sink discovery ---------------------------
-  // Distinct targets, then one lookup round; unknown ids become sinks
-  // owned (and slotted) at their directory rank.
-  std::vector<std::uint64_t> distinct_targets;
-  distinct_targets.reserve(edges.size());
-  for (const auto& e : edges) distinct_targets.push_back(e.dst);
-  std::sort(distinct_targets.begin(), distinct_targets.end());
-  distinct_targets.erase(
-      std::unique(distinct_targets.begin(), distinct_targets.end()),
-      distinct_targets.end());
+  // Each edge's (target, position), radix-sorted by target: the runs are
+  // the distinct targets, in ascending order, and their lengths the local
+  // in-degrees.  One lookup round resolves the distinct targets (unknown
+  // ids become sinks owned and slotted at their directory rank), and one
+  // walk over the runs writes each edge's master locator back at its
+  // position: a sort-merge join, with no per-edge lookup.
+  if (cfg.make_weights) {
+    bp.adj_weight.resize(edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      bp.adj_weight[i] =
+          edge_weight_of(edges[i].src, edges[i].dst, cfg.max_weight);
+    }
+  }
+  std::vector<target_ref> by_target(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    by_target[i] = {edges[i].dst, i};
+  }
+  edges = {};
+  sort::radix_sort(by_target, [](const target_ref& t) { return t.global_id; });
 
   std::vector<std::vector<dir_request>> requests(static_cast<std::size_t>(p));
-  for (const auto t : distinct_targets) {
+  for (std::size_t i = 0; i < by_target.size(); ++i) {
+    const std::uint64_t t = by_target[i].global_id;
+    if (i > 0 && by_target[i - 1].global_id == t) continue;
     requests[static_cast<std::size_t>(directory_rank(t, p))].push_back({t});
   }
   const auto incoming_requests = c.all_to_allv(requests);
@@ -250,14 +272,6 @@ partition_blueprint build_partition(runtime::comm& c,
   }
   const auto incoming_replies = c.all_to_allv(replies);
 
-  std::unordered_map<std::uint64_t, std::uint64_t> target_locator;
-  target_locator.reserve(distinct_targets.size());
-  for (const auto& batch : incoming_replies) {
-    for (const auto& rep : batch) {
-      target_locator.emplace(rep.global_id, rep.locator_bits);
-    }
-  }
-
   bp.num_sinks = sink_ids.size();
   for (const auto gid : sink_ids) {
     bp.slot_global_id.push_back(gid);
@@ -266,17 +280,29 @@ partition_blueprint build_partition(runtime::comm& c,
     bp.slot_degree.push_back(0);
   }
 
-  // Adjacency: rewrite targets to locator bits, sorted within each row
-  // (weights, when requested, travel with their edge through the sort).
-  bp.adj_bits.resize(edges.size());
-  if (cfg.make_weights) bp.adj_weight.resize(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    bp.adj_bits[i] = target_locator.at(edges[i].dst);
-    if (cfg.make_weights) {
-      bp.adj_weight[i] =
-          edge_weight_of(edges[i].src, edges[i].dst, cfg.max_weight);
+  // Each directory rank replies in request order, so a cursor per rank
+  // pairs the runs with their replies.  A run's length is its target's
+  // local in-degree, which ranks the ghost candidates (phase 7).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cand;  // (count, bits)
+  std::vector<std::size_t> next_reply(static_cast<std::size_t>(p), 0);
+  bp.adj_bits.resize(by_target.size());
+  for (std::size_t i = 0, j = 0; i < by_target.size(); i = j) {
+    const std::uint64_t t = by_target[i].global_id;
+    const auto d = static_cast<std::size_t>(directory_rank(t, p));
+    const dir_reply& rep = incoming_replies[d][next_reply[d]++];
+    assert(rep.global_id == t);
+    for (; j < by_target.size() && by_target[j].global_id == t; ++j) {
+      bp.adj_bits[by_target[j].position] = rep.locator_bits;
+    }
+    if (cfg.num_ghosts > 0 && j - i >= cfg.ghost_min_local_degree &&
+        vertex_locator::from_bits(rep.locator_bits).owner() != rank) {
+      cand.emplace_back(j - i, rep.locator_bits);
     }
   }
+  by_target = {};
+
+  // Rows sorted by target locator (weights, when requested, travel with
+  // their edge through the sort).
   for (std::size_t s = 0; s < bp.num_sources; ++s) {
     const auto lo = static_cast<std::ptrdiff_t>(bp.csr_offsets[s]);
     const auto hi = static_cast<std::ptrdiff_t>(bp.csr_offsets[s + 1]);
@@ -304,29 +330,24 @@ partition_blueprint build_partition(runtime::comm& c,
       std::plus<>());
 
   // ---- phase 7: ghost selection (paper §IV-B) ------------------------------
-  if (cfg.num_ghosts > 0) {
-    std::unordered_map<std::uint64_t, std::uint64_t> remote_in_degree;
-    for (const auto bits : bp.adj_bits) {
-      if (vertex_locator::from_bits(bits).owner() != rank) {
-        ++remote_in_degree[bits];
-      }
-    }
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> cand;  // (count, bits)
-    cand.reserve(remote_in_degree.size());
-    for (const auto& [bits, count] : remote_in_degree) {
-      if (count >= cfg.ghost_min_local_degree) cand.emplace_back(count, bits);
-    }
-    std::sort(cand.begin(), cand.end(), [](const auto& a, const auto& b) {
-      return a.first != b.first ? a.first > b.first : a.second < b.second;
-    });
-    if (cand.size() > cfg.num_ghosts) cand.resize(cfg.num_ghosts);
-    bp.ghost_locator_bits.reserve(cand.size());
-    for (const auto& [count, bits] : cand) bp.ghost_locator_bits.push_back(bits);
+  // The remote targets with the most local edges, ties to the lower
+  // locator.
+  const auto ghosts = static_cast<std::ptrdiff_t>(
+      std::min<std::size_t>(cand.size(), cfg.num_ghosts));
+  std::partial_sort(cand.begin(), cand.begin() + ghosts, cand.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.first != b.first ? a.first > b.first
+                                                : a.second < b.second;
+                    });
+  bp.ghost_locator_bits.reserve(static_cast<std::size_t>(ghosts));
+  for (auto g = cand.begin(); g != cand.begin() + ghosts; ++g) {
+    bp.ghost_locator_bits.push_back(g->second);
   }
 
   // ---- phase 8: persist this rank's directory shard ------------------------
+  // Sorted by gid alone: the gids are the map's keys, so they are unique.
   bp.directory.assign(directory.begin(), directory.end());
-  std::sort(bp.directory.begin(), bp.directory.end());
+  sort::radix_sort(bp.directory, [](const auto& e) { return e.first; });
 
   return bp;
 }

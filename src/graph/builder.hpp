@@ -4,9 +4,10 @@
 ///
 ///   1. (optional) symmetrize, drop self loops
 ///   2. placement: the edges this rank holds, sorted by (src, dst).
-///      edge_list sample-sorts globally, deduplicates, and re-balances so
-///      every rank holds floor/ceil(|E|/p) edges; dbh/hdrf/sne gather the
-///      cleaned stream on every rank and keep what place() assigns here
+///      edge_list sample-sorts globally (sort/sample_sort.hpp, a radix
+///      local sort), deduplicates, and re-balances so every rank holds
+///      floor/ceil(|E|/p) edges; dbh/hdrf/sne gather the cleaned stream on
+///      every rank and keep what place() assigns here
 ///   3. local sources: run-length over the sorted edges, in slot order
 ///   4. owner exchange: every rank reports (vertex, its locator, slice
 ///      length) for each local source to the vertex's directory rank,
@@ -15,13 +16,16 @@
 ///      (every vertex with two or more owners, with its owner chain)
 ///   5. slot metadata: replica slots read their master locator and global
 ///      degree from the split table
-///   6. sink discovery through the hash-distributed directory (unknown
-///      targets are slotted after the sources at their directory rank),
-///      then every edge target is relabeled to its master locator and
-///      each row sorted
+///   6. the edges' (target, position) pairs are radix-sorted by target;
+///      the runs are the distinct targets, resolved in one lookup round
+///      at the hash-distributed directory (unknown targets are slotted
+///      after the sources at their directory rank), and one walk over the
+///      runs relabels every edge target to its master locator; then each
+///      row is sorted
 ///   7. select up to k ghost candidates per rank: the remote targets with
-///      the highest *local* in-degree (paper §IV-B: ghosts are each
-///      partition's local view of remote hubs; never synchronized)
+///      the highest *local* in-degree, which is a phase-6 run's length
+///      (paper §IV-B: ghosts are each partition's local view of remote
+///      hubs; never synchronized)
 ///   8. keep this rank's directory shard, sorted by gid
 ///
 /// The result is a plain-data `partition_blueprint` per rank; wrap it in

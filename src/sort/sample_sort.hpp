@@ -4,33 +4,77 @@
 /// The paper's partitioning requires the global edge list "first sorted by
 /// the edges' source vertex, then evenly distributed" (§III-A1).  We
 /// implement that as a classic sample sort (local sort → regular samples →
-/// splitters → all_to_allv redistribution → local merge) followed by an
+/// splitters → all_to_allv redistribution → one merge pass) followed by an
 /// exact rebalance that leaves every rank with floor/ceil(N/p) elements —
 /// the "evenly partitioned" property the scheme depends on.  Sorting by
 /// the full (src, dst) key lets splitters fall *inside* a hub's adjacency
 /// list, which is precisely how hubs end up split across consecutive
 /// partitions.
+///
+/// Elements order by a key projection (radix_sort.hpp): the local sort is
+/// the radix kernel, and the splitters and the merge compare projected
+/// keys.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "runtime/comm.hpp"
+#include "sort/radix_sort.hpp"
 
 namespace sfg::sort {
 
-/// Globally sort the union of all ranks' `local` vectors.  On return, each
-/// rank holds a contiguous run of the sorted sequence, in rank order
-/// (rank 0 smallest).  Sizes after the splitter exchange are approximately
-/// balanced; use rebalance_even() for exact balance.  T must be trivially
-/// copyable; `less` must be a strict weak order shared by all ranks.
-template <typename T, typename Less>
-std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local,
-                           Less less) {
+/// Merge sorted runs in one pass.  On equal keys the earlier run's element
+/// comes first, as successive stable merges would place it.
+template <typename T, typename Key>
+std::vector<T> merge_runs(const std::vector<std::vector<T>>& runs, Key key) {
+  using words = decltype(key_words(key(std::declval<const T&>())));
+  struct head {
+    const T* at;
+    const T* end;
+    words k;
+  };
+  std::vector<head> live;
+  std::size_t total = 0;
+  for (const auto& run : runs) {
+    total += run.size();
+    if (!run.empty()) {
+      live.push_back({run.data(), run.data() + run.size(),
+                      key_words(key(run.front()))});
+    }
+  }
+  std::vector<T> out;
+  out.reserve(total);
+  while (live.size() > 1) {
+    std::size_t m = 0;
+    for (std::size_t r = 1; r < live.size(); ++r) {
+      if (live[r].k < live[m].k) m = r;
+    }
+    out.push_back(*live[m].at);
+    if (++live[m].at == live[m].end) {
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(m));
+    } else {
+      live[m].k = key_words(key(*live[m].at));
+    }
+  }
+  if (!live.empty()) out.insert(out.end(), live[0].at, live[0].end);
+  return out;
+}
+
+/// Globally sort the union of all ranks' `local` vectors by `key`.  On
+/// return, each rank holds a contiguous run of the sorted sequence, in rank
+/// order (rank 0 smallest).  Sizes after the splitter exchange are
+/// approximately balanced; use rebalance_even() for exact balance.  T must
+/// be trivially copyable; every rank must pass the same projection.
+template <typename T, typename Key>
+std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local, Key key) {
   const int p = c.size();
-  std::sort(local.begin(), local.end(), less);
+  radix_sort(local, key);
   if (p == 1) return local;
+  const key_less<Key> less{key};
 
   // Regular sampling: p samples per rank (oversampled p*p total) keeps
   // splitter error within a factor ~2 of perfect balance even for skewed
@@ -45,7 +89,7 @@ std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local,
   }
   std::vector<T> all_samples =
       c.all_gatherv(std::span<const T>(samples), nullptr);
-  std::sort(all_samples.begin(), all_samples.end(), less);
+  radix_sort(all_samples, key);
 
   // p-1 splitters at regular positions of the gathered sample.
   std::vector<T> splitters;
@@ -59,7 +103,9 @@ std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local,
   }
 
   // Partition the local run by splitters (bucket d = keys in
-  // [splitter[d-1], splitter[d]) ) and exchange.
+  // [splitter[d-1], splitter[d]) ) and exchange.  The local run is freed
+  // once copied out, and the outgoing runs once delivered, so at most two
+  // copies of this rank's share are live at a time.
   std::vector<std::vector<T>> outgoing(static_cast<std::size_t>(p));
   if (splitters.empty()) {
     outgoing[0] = std::move(local);
@@ -74,22 +120,11 @@ std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local,
       outgoing[static_cast<std::size_t>(d)].assign(it, hi);
       it = hi;
     }
+    local = {};
   }
   const auto incoming = c.all_to_allv(outgoing);
-
-  // Received runs are each sorted; concatenate and merge.
-  std::vector<T> result;
-  std::size_t total = 0;
-  for (const auto& run : incoming) total += run.size();
-  result.reserve(total);
-  for (const auto& run : incoming) {
-    const auto mid = result.size();
-    result.insert(result.end(), run.begin(), run.end());
-    std::inplace_merge(result.begin(),
-                       result.begin() + static_cast<std::ptrdiff_t>(mid),
-                       result.end(), less);
-  }
-  return result;
+  outgoing = {};
+  return merge_runs(incoming, key);
 }
 
 /// Redistribute so every rank holds exactly floor/ceil(N/p) elements while
@@ -102,32 +137,41 @@ std::vector<T> rebalance_even(runtime::comm& c, std::vector<T> local) {
   const std::uint64_t my_begin = c.exscan_sum(my_count);
   const std::uint64_t total = c.all_reduce(my_count, std::plus<>());
 
-  // Global index i belongs to rank owner(i) under the floor/ceil split.
+  // Rank r owns global indices [owner_begin(r), owner_begin(r+1)) under
+  // the floor/ceil split; this rank's run [my_begin, my_end) cuts into
+  // one contiguous piece per overlapping owner.
   const std::uint64_t base = total / static_cast<std::uint64_t>(p);
   const std::uint64_t extra = total % static_cast<std::uint64_t>(p);
   auto owner_begin = [&](int r) {
     const auto rr = static_cast<std::uint64_t>(r);
     return rr * base + (rr < extra ? rr : extra);
   };
-  auto owner_of = [&](std::uint64_t i) {
-    // Invert owner_begin: ranks < extra hold (base+1).
-    if (base + 1 > 0 && i < extra * (base + 1)) {
-      return static_cast<int>(i / (base + 1));
-    }
-    if (base == 0) return static_cast<int>(extra);  // degenerate: N < p
-    return static_cast<int>(extra + (i - extra * (base + 1)) / base);
+  const std::uint64_t my_end = my_begin + my_count;
+  auto piece = [&](int r) {
+    const std::uint64_t lo = std::clamp(owner_begin(r), my_begin, my_end);
+    const std::uint64_t hi = std::clamp(owner_begin(r + 1), my_begin, my_end);
+    return std::span<const T>(local).subspan(
+        static_cast<std::size_t>(lo - my_begin),
+        static_cast<std::size_t>(hi - lo));
   };
 
+  // Only the other ranks' pieces cross; this rank's own piece is copied
+  // once, from `local` into the result.
+  const int me = c.rank();
   std::vector<std::vector<T>> outgoing(static_cast<std::size_t>(p));
-  for (std::size_t k = 0; k < local.size(); ++k) {
-    const std::uint64_t gi = my_begin + k;
-    outgoing[static_cast<std::size_t>(owner_of(gi))].push_back(local[k]);
+  for (int r = 0; r < p; ++r) {
+    if (r == me) continue;
+    const auto mine = piece(r);
+    outgoing[static_cast<std::size_t>(r)].assign(mine.begin(), mine.end());
   }
   const auto incoming = c.all_to_allv(outgoing);
+  outgoing = {};
   std::vector<T> result;
-  result.reserve(static_cast<std::size_t>(
-      owner_begin(c.rank() + 1) - owner_begin(c.rank())));
-  for (const auto& run : incoming) {
+  result.reserve(
+      static_cast<std::size_t>(owner_begin(me + 1) - owner_begin(me)));
+  for (int s = 0; s < p; ++s) {
+    const auto& in = incoming[static_cast<std::size_t>(s)];
+    const auto run = s == me ? piece(me) : std::span<const T>(in);
     result.insert(result.end(), run.begin(), run.end());
   }
   return result;
@@ -136,9 +180,9 @@ std::vector<T> rebalance_even(runtime::comm& c, std::vector<T> local) {
 /// sample_sort + rebalance_even in one call: globally sorted, exactly
 /// evenly partitioned — the precondition for building the edge-list
 /// partitioned graph.
-template <typename T, typename Less>
-std::vector<T> sort_even(runtime::comm& c, std::vector<T> local, Less less) {
-  return rebalance_even(c, sample_sort(c, std::move(local), less));
+template <typename T, typename Key>
+std::vector<T> sort_even(runtime::comm& c, std::vector<T> local, Key key) {
+  return rebalance_even(c, sample_sort(c, std::move(local), key));
 }
 
 }  // namespace sfg::sort

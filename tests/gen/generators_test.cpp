@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace sfg::gen {
@@ -149,6 +153,191 @@ TEST(Rmat, PermutationDestroysLocalityButKeepsDegrees) {
 TEST(Rmat, RejectsBadProbabilities) {
   rmat_config cfg{.scale = 4, .a = 0.8, .b = 0.2, .c = 0.2};
   EXPECT_THROW(rmat_slice(cfg, 0, 1), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// RMAT output pinned: golden folds and a double-compare reference
+// ---------------------------------------------------------------------------
+
+/// Order-sensitive fold of every edge of a list.
+std::uint64_t fold(const std::vector<edge64>& edges) {
+  std::uint64_t h = 0;
+  for (const auto& e : edges) {
+    h = util::splitmix64(h + e.src);
+    h = util::splitmix64(h + e.dst);
+  }
+  return h;
+}
+
+/// A d-heavy skew (a 0.30, b 0.10, c 0.05, d 0.55) whose thresholds a,
+/// a+b and a+b+c each lie half a 2^-53 step above a draw of seed 1's
+/// scale-12 edge list.  A draw can only decide differently under a
+/// threshold rounded the wrong way when it sits right below the
+/// threshold, and only below 0.5, where a double need not be a whole
+/// number of 2^-53 steps; the default thresholds (0.57, 0.76, 0.95) are
+/// whole numbers of steps and cannot tell.
+constexpr double kSkewA = 0x1.33331cb1b980bp-2;
+constexpr double kSkewB = 0x1.9999e2418b1fp-4;
+constexpr double kSkewC = 0x1.999abc43f64fp-5;
+
+TEST(Rmat, GoldenEdgeLists) {
+  // Folds of the edge lists the double-compare generator made; any change
+  // to one generated edge changes its fold.
+  const rmat_config def1{.scale = 12, .seed = 1};
+  const rmat_config def7919{.scale = 12, .seed = 7919};
+  rmat_config skew1 = def1;
+  skew1.a = kSkewA;
+  skew1.b = kSkewB;
+  skew1.c = kSkewC;
+  rmat_config skew7919 = skew1;
+  skew7919.seed = 7919;
+  const std::uint64_t all = def1.num_edges();
+  struct golden {
+    const rmat_config* cfg;
+    std::uint64_t begin;
+    std::uint64_t end;
+    std::uint64_t fold;
+  };
+  const golden cases[] = {
+      {&def1, 0, all, 0x0634805586b819cbULL},
+      {&def7919, 0, all, 0xe1ffaa3aebd5abbfULL},
+      {&skew1, 0, all, 0x1cfc94b7fbd79ed6ULL},
+      {&skew7919, 0, all, 0x02c040094f946617ULL},
+      {&def1, 5, 1027, 0xbfdf79fa2de3e397ULL},
+      {&skew7919, 5, 1027, 0xf8afe75a6f83245aULL},
+      {&def7919, 0, 3, 0x7ce75e5e62d94057ULL},
+      {&skew1, 0, 3, 0xba01e434442c3629ULL},
+  };
+  for (const auto& g : cases) {
+    const auto edges = rmat_slice(*g.cfg, g.begin, g.end);
+    EXPECT_EQ(edges.size(), g.end - g.begin);
+    EXPECT_EQ(fold(edges), g.fold)
+        << "seed " << g.cfg->seed << " a=" << g.cfg->a << " [" << g.begin
+        << ", " << g.end << ")";
+  }
+}
+
+TEST(Rmat, SkewedGoldenThresholdsSitOnDraws) {
+  // The premise of the skewed golden case: for each threshold t, t * 2^53
+  // is m + 1/2 for a draw m that seed 1's scale-12 edge list makes.
+  const double ab = kSkewA + kSkewB;
+  const double thresholds[] = {kSkewA, ab, ab + kSkewC};
+  std::vector<std::uint64_t> below;
+  for (const double t : thresholds) {
+    const double scaled = t * 0x1p53;
+    ASSERT_EQ(scaled - std::floor(scaled), 0.5) << t;
+    below.push_back(static_cast<std::uint64_t>(scaled));
+  }
+  const rmat_config cfg{.scale = 12, .seed = 1};
+  std::vector<bool> seen(below.size(), false);
+  for (std::uint64_t i = 0; i < cfg.num_edges(); ++i) {
+    auto rng = util::make_stream(cfg.seed, i);
+    for (unsigned level = 0; level < cfg.scale; ++level) {
+      const std::uint64_t m = rng() >> 11;
+      for (std::size_t k = 0; k < below.size(); ++k) {
+        if (m == below[k]) seen[k] = true;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < below.size(); ++k) {
+    EXPECT_TRUE(seen[k]) << "threshold " << thresholds[k];
+  }
+}
+
+/// The generator's definition, one double compare per level (Graph500):
+/// a uniform draw r picks quadrant (0,0) below a, (0,1) below a+b, (1,0)
+/// below a+b+c and (1,1) above.
+std::vector<edge64> rmat_reference(const rmat_config& cfg,
+                                   std::uint64_t begin, std::uint64_t end) {
+  const double ab = cfg.a + cfg.b;
+  const double abc = ab + cfg.c;
+  const random_permutation perm(cfg.num_vertices(), cfg.seed ^ 0x9e37);
+  std::vector<edge64> out;
+  for (std::uint64_t i = begin; i < end; ++i) {
+    auto rng = util::make_stream(cfg.seed, i);
+    std::uint64_t src = 0;
+    std::uint64_t dst = 0;
+    for (unsigned level = 0; level < cfg.scale; ++level) {
+      const double r = rng.uniform_real();
+      src = (src << 1) | (r >= ab ? 1 : 0);
+      dst = (dst << 1) | ((r >= cfg.a && r < ab) || r >= abc ? 1 : 0);
+    }
+    if (cfg.permute_labels) {
+      src = perm(src);
+      dst = perm(dst);
+    }
+    out.push_back({src, dst});
+  }
+  return out;
+}
+
+/// (a, b, c) whose thresholds lie half a 2^-53 step above three distinct
+/// draws below 0.5 that edges [begin, end) make (as kSkewA..C do for the
+/// golden list), or nothing if the slice makes fewer than three.
+std::optional<std::array<double, 3>> thresholds_on_draws(
+    const rmat_config& cfg, std::uint64_t begin, std::uint64_t end,
+    util::xoshiro256& pick) {
+  std::vector<std::uint64_t> low;
+  for (std::uint64_t i = begin; i < end; ++i) {
+    auto rng = util::make_stream(cfg.seed, i);
+    for (unsigned level = 0; level < cfg.scale; ++level) {
+      const std::uint64_t m = rng() >> 11;
+      if (m < (std::uint64_t{1} << 52)) low.push_back(m);
+    }
+  }
+  std::sort(low.begin(), low.end());
+  low.erase(std::unique(low.begin(), low.end()), low.end());
+  const std::size_t n = low.size();
+  if (n < 3) return std::nullopt;
+  const std::size_t i0 = pick.uniform_below(n - 2);
+  const std::size_t i1 = i0 + 1 + pick.uniform_below(n - i0 - 2);
+  const std::size_t i2 = i1 + 1 + pick.uniform_below(n - i1 - 1);
+  const std::uint64_t m[] = {low[i0], low[i1], low[i2]};
+  // Exact: every value is an odd multiple of 2^-54 below 0.5, or a whole
+  // number of 2^-53 steps, within 53 significant bits.
+  return std::array<double, 3>{
+      static_cast<double>(2 * m[0] + 1) * 0x1p-54,
+      static_cast<double>(m[1] - m[0]) * 0x1p-53,
+      static_cast<double>(m[2] - m[1]) * 0x1p-53};
+}
+
+TEST(Rmat, MatchesDoubleCompareReference) {
+  // Random slices (any alignment and length against the interleave width)
+  // at scales 1-20, under random (a, b, c), the edge cases a = 0, b = 0
+  // and a + b + c = 1, the default, and thresholds sitting on draws.
+  auto pick = util::make_stream(2026, 0);
+  for (unsigned scale = 1; scale <= 20; ++scale) {
+    rmat_config base{.scale = scale,
+                     .seed = 100 + scale,
+                     .permute_labels = scale % 2 == 0};
+    const std::uint64_t len =
+        1 + pick.uniform_below(std::min<std::uint64_t>(base.num_edges(), 257));
+    const std::uint64_t begin =
+        pick.uniform_below(base.num_edges() - len + 1);
+    std::array<double, 3> cuts{pick.uniform_real(), pick.uniform_real(),
+                               pick.uniform_real()};
+    std::sort(cuts.begin(), cuts.end());
+    const double a = cuts[0];
+    const double b = cuts[1] - cuts[0];
+    const double c = cuts[2] - cuts[1];
+    std::vector<std::array<double, 3>> probs = {
+        {a, b, c},       {0.0, b, c},         {a, 0.0, c},
+        {0.0, 0.0, c},   {a, b, 1.0 - a - b}, {0.57, 0.19, 0.19},
+    };
+    if (const auto on = thresholds_on_draws(base, begin, begin + len, pick)) {
+      probs.push_back(*on);
+    }
+    for (const auto& [pa, pb, pc] : probs) {
+      rmat_config cfg = base;
+      cfg.a = pa;
+      cfg.b = pb;
+      cfg.c = pc;
+      EXPECT_EQ(rmat_slice(cfg, begin, begin + len),
+                rmat_reference(cfg, begin, begin + len))
+          << "scale " << scale << " [" << begin << ", " << begin + len
+          << ") a=" << pa << " b=" << pb << " c=" << pc;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <vector>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
@@ -26,6 +27,14 @@ safra_termination::safra_termination(comm& c, int control_tag)
 void safra_termination::on_message(const message& m) {
   const obs::phase_scope pscope(obs::phase::term);
   assert(m.tag == tag_);
+  if (m.payload.size() != sizeof(token_msg)) {
+    // Not a token: decoding it would read past a short payload, and a
+    // stray kind byte could announce DONE.  Drop it as the tree detector
+    // does.
+    obs::flight_record(obs::flight_kind::term_reject,
+                       static_cast<std::uint64_t>(m.source), m.payload.size());
+    return;
+  }
   const auto tm = m.as<token_msg>();
   if (tm.kind == msg_kind::done) {
     // Forward the announcement once around the ring; a transport replay

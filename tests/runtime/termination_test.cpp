@@ -300,6 +300,38 @@ TEST_P(TerminationP, TreeDropsMalformedControlMessage) {
   });
 }
 
+TEST_P(TerminationP, SafraDropsMalformedControlMessage) {
+  // The ring detector drops a wrong-size token the same way: a lone kind
+  // byte 2 reads as DONE and used to end the traversal on this rank (and
+  // forward the announcement around the ring).  Each drop is recorded in
+  // the flight log, and a real ring still runs to termination afterwards.
+  const int p = GetParam();
+  launch(p, [p](comm& c) {
+    safra_termination det(c, kCtrlTag);
+    std::vector<std::vector<std::byte>> bad = {{std::byte{0x02}}};
+    bad.emplace_back(17, std::byte{0});
+    bad.back()[0] = std::byte{0x02};
+    for (const auto& payload : bad) {
+      message m;
+      m.source = (c.rank() + 1) % p;
+      m.tag = kCtrlTag;
+      m.payload = payload;
+      const std::uint64_t before = obs::flight_recorded_here();
+      det.on_message(m);
+      EXPECT_FALSE(det.finished()) << payload.size() << "-byte payload";
+      EXPECT_EQ(obs::flight_recorded_here() - before,
+                obs::flight_on() ? 1u : 0u);
+    }
+    c.barrier();
+    c.send_value((c.rank() + 1) % p, kDataTag, 1);
+    const auto [sent, recv] =
+        drive(c, det, 1, [](const message&) { return 0; });
+    EXPECT_EQ(c.all_reduce(sent, std::plus<>()), static_cast<std::uint64_t>(p));
+    EXPECT_EQ(c.all_reduce(recv, std::plus<>()), static_cast<std::uint64_t>(p));
+    EXPECT_TRUE(det.finished());
+  });
+}
+
 /// Like drive(), but hostile: every control message is held back for one
 /// poll round and then delivered to the detector TWICE — the at-least-once,
 /// delayed delivery a faulty transport produces.  A detector whose control

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -17,6 +18,7 @@ namespace {
 
 using gen::by_src_dst;
 using gen::edge64;
+using gen::src_dst_key;
 using runtime::comm;
 using runtime::launch;
 
@@ -44,7 +46,7 @@ TEST_P(SampleSortP, SortsRandomData) {
     for (auto& v : local) v = rng();
     const auto input_all = gather_all(c, local);
 
-    auto sorted = sample_sort(c, local, std::less<>());
+    auto sorted = sample_sort(c, local, std::identity{});
     // Locally sorted.
     EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
     // Globally sorted and a permutation of the input.
@@ -66,7 +68,7 @@ TEST_P(SampleSortP, SortEvenIsExactlyBalanced) {
     const std::uint64_t total =
         c.all_reduce(static_cast<std::uint64_t>(local.size()), std::plus<>());
 
-    auto sorted = sort_even(c, local, std::less<>());
+    auto sorted = sort_even(c, local, std::identity{});
     const auto base = total / static_cast<std::uint64_t>(p);
     EXPECT_GE(sorted.size(), base);
     EXPECT_LE(sorted.size(), base + 1);
@@ -93,7 +95,7 @@ TEST_P(SampleSortP, HubHeavyEdgesStayBalanced) {
       }
     }
     const auto before = c.all_reduce(checksum(local), std::plus<>());
-    auto sorted = sort_even(c, local, by_src_dst{});
+    auto sorted = sort_even(c, local, src_dst_key{});
     const auto total = c.all_reduce(
         static_cast<std::uint64_t>(sorted.size()), std::plus<>());
     EXPECT_EQ(total, static_cast<std::uint64_t>(p) * 1000u);
@@ -116,7 +118,7 @@ TEST_P(SampleSortP, AlreadySortedInput) {
     std::vector<std::uint64_t> local(100);
     std::iota(local.begin(), local.end(),
               static_cast<std::uint64_t>(c.rank()) * 100);
-    auto sorted = sort_even(c, local, std::less<>());
+    auto sorted = sort_even(c, local, std::identity{});
     auto all = gather_all(c, sorted);
     EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
     EXPECT_EQ(all.size(), static_cast<std::size_t>(c.size()) * 100u);
@@ -132,7 +134,7 @@ TEST_P(SampleSortP, EmptyRanksHandled) {
       auto rng = util::make_stream(4, 0);
       for (auto& v : local) v = rng.uniform_below(50);  // heavy duplicates
     }
-    auto sorted = sort_even(c, local, std::less<>());
+    auto sorted = sort_even(c, local, std::identity{});
     auto all = gather_all(c, sorted);
     EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
     EXPECT_EQ(all.size(), 333u);
@@ -141,9 +143,26 @@ TEST_P(SampleSortP, EmptyRanksHandled) {
 
 TEST_P(SampleSortP, AllEmpty) {
   launch(GetParam(), [](comm& c) {
-    std::vector<int> local;
-    auto sorted = sort_even(c, local, std::less<>());
+    std::vector<std::uint32_t> local;
+    auto sorted = sort_even(c, local, std::identity{});
     EXPECT_TRUE(sorted.empty());
+  });
+}
+
+TEST_P(SampleSortP, TwoWordKeysMatchStdSort) {
+  // Keys using all 64 bits of both words, with duplicates across ranks:
+  // the splitters and the merge compare both words, so the gathered
+  // result is exactly std::sort of the gathered input.
+  launch(GetParam(), [](comm& c) {
+    auto rng = util::make_stream(5, static_cast<std::uint64_t>(c.rank()));
+    std::vector<edge64> local(400);
+    for (auto& e : local) e = {rng() | (rng.uniform_below(3) << 62), rng()};
+    local[7] = local[3];
+    local.push_back({~0ULL, ~0ULL});
+    auto expected = gather_all(c, local);
+    std::sort(expected.begin(), expected.end(), by_src_dst{});
+    auto sorted = sample_sort(c, local, src_dst_key{});
+    EXPECT_EQ(gather_all(c, sorted), expected);
   });
 }
 
@@ -157,7 +176,7 @@ TEST(SampleSort, RmatEdgesEndToEnd) {
   launch(8, [&cfg](comm& c) {
     const auto range = gen::slice_for_rank(cfg.num_edges(), c.rank(), c.size());
     auto local = gen::rmat_slice(cfg, range.begin, range.end);
-    auto sorted = sort_even(c, std::move(local), by_src_dst{});
+    auto sorted = sort_even(c, std::move(local), src_dst_key{});
     const auto total = c.all_reduce(
         static_cast<std::uint64_t>(sorted.size()), std::plus<>());
     EXPECT_EQ(total, cfg.num_edges());
