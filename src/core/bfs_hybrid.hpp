@@ -98,9 +98,6 @@ inline constexpr double kBfsBeta = 24.0;
 
 struct hybrid_bfs_config {
   bfs_mode mode = bfs_mode::hybrid;
-  /// α/β heuristic knobs (tests force one direction with extreme values).
-  double alpha = kBfsAlpha;
-  double beta = kBfsBeta;
   /// Mailbox/topology/fault knobs, shared with the async queue so one
   /// chaos schedule drives both drivers.
   queue_config queue{};
@@ -168,8 +165,8 @@ class level_sync_bfs {
   level_sync_bfs(Graph& g, const hybrid_bfs_config& cfg)
       : graph_(&g),
         cfg_(cfg),
-        mailbox_(g.comm(), {cfg.queue.topo, cfg.queue.aggregation_bytes,
-                            cfg.queue.data_tag}),
+        mailbox_(g.comm(),
+                 {cfg.queue.topo, cfg.queue.aggregation_bytes, kDataTag}),
         state_(g.template make_state<bfs_state>(bfs_state{})) {}
 
   mode_bfs_result<Graph> run(graph::vertex_locator source) {
@@ -256,10 +253,10 @@ class level_sync_bfs {
             bottom_up = !left_bottom_up_ && totals.unvisited_edges > 0 &&
                         static_cast<double>(totals.edges) >
                             static_cast<double>(totals.unvisited_edges) /
-                                cfg_.alpha;
+                                kBfsAlpha;
           } else if (static_cast<double>(totals.vertices) <
                      static_cast<double>(graph_->total_vertices()) /
-                         cfg_.beta) {
+                         kBfsBeta) {
             bottom_up = false;
             left_bottom_up_ = true;
           }
@@ -420,8 +417,8 @@ class level_sync_bfs {
       std::int64_t switch_level) const {
     obs::json bfs = obs::json::object();
     bfs["mode"] = std::string(bfs_mode_name(cfg_.mode));
-    bfs["alpha"] = cfg_.alpha;
-    bfs["beta"] = cfg_.beta;
+    bfs["alpha"] = kBfsAlpha;
+    bfs["beta"] = kBfsBeta;
     bfs["direction_switch_level"] = switch_level;
     obs::json trace = obs::json::array();
     for (const auto& ls : levels) {

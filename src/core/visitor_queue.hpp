@@ -45,14 +45,17 @@
 
 namespace sfg::core {
 
+/// Message tags on the graph's comm: mailbox packets carry kDataTag, the
+/// termination detector's control messages kControlTag.
+inline constexpr int kDataTag = 1;
+inline constexpr int kControlTag = 2;
+
+/// Ghost filtering runs whenever Visitor::uses_ghosts and the graph has
+/// ghosts; a run without ghosts builds its graph with
+/// graph_build_config::num_ghosts = 0.
 struct queue_config {
   mailbox::topology topo = mailbox::topology::direct;
   std::size_t aggregation_bytes = 1 << 13;
-  int data_tag = 1;
-  int control_tag = 2;
-  /// Master toggle for ghost filtering (ANDed with Visitor::uses_ghosts);
-  /// lets benches measure ghosts on/off without touching the algorithm.
-  bool use_ghosts = true;
   /// Local visitors executed between mailbox polls.
   int batch_size = 64;
   order_tiebreak tiebreak = order_tiebreak::vertex_locality;
@@ -84,7 +87,7 @@ class visitor_queue {
       : graph_(&g),
         state_(&state),
         cfg_(cfg),
-        mailbox_(g.comm(), {cfg.topo, cfg.aggregation_bytes, cfg.data_tag}) {}
+        mailbox_(g.comm(), {cfg.topo, cfg.aggregation_bytes, kDataTag}) {}
 
   /// Paper Algorithm 1, PUSH: filter through a local ghost if present,
   /// else (or on ghost pass) send toward the master partition.  During
@@ -95,9 +98,7 @@ class visitor_queue {
   void push(const Visitor& v) {
     ++stats_.visitors_pushed;
     if constexpr (Visitor::uses_ghosts) {
-      const auto ghost =
-          cfg_.use_ghosts ? graph_->ghost_slot_of(v.vertex) : std::nullopt;
-      if (ghost) {
+      if (const auto ghost = graph_->ghost_slot_of(v.vertex)) {
         Visitor copy = v;
         if (!copy.pre_visit(state_->ghost(*ghost))) {
           ++stats_.ghost_filtered;
@@ -120,7 +121,7 @@ class visitor_queue {
   void do_traversal() {
     runtime::comm& c = graph_->comm();
     traversal_observer observer(c, mailbox_, observed_);
-    runtime::tree_termination term(c, cfg_.control_tag);
+    runtime::tree_termination term(c, kControlTag);
     const bool chaos_on = cfg_.faults.enabled() && cfg_.faults.stall_prob > 0;
     util::chaos_stream chaos(cfg_.faults.seed,
                              0x51A11u ^ static_cast<std::uint64_t>(
@@ -154,7 +155,7 @@ class visitor_queue {
           const obs::phase_scope poll_scope(obs::phase::poll);
           runtime::message m;
           while (c.try_recv(m)) {
-            if (m.tag == cfg_.control_tag) {
+            if (m.tag == kControlTag) {
               term.on_message(m);
             } else {
               mailbox_.process_packet(m, deliver);

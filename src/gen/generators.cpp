@@ -1,9 +1,9 @@
 #include "gen/generators.hpp"
 
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace sfg::gen {
 
@@ -17,6 +17,22 @@ slice_range slice_for_rank(std::uint64_t total, int rank, int p) {
   const std::uint64_t count = base + (r < extra ? 1 : 0);
   return {begin, begin + count};
 }
+
+namespace {
+
+/// A slice must lie inside the graph's edge ids [0, num_edges): edges past
+/// the end belong to no graph, and begin > end names no range.
+void check_slice(const char* model, std::uint64_t begin, std::uint64_t end,
+                 std::uint64_t num_edges) {
+  if (begin > end || end > num_edges) {
+    throw std::out_of_range(std::string(model) + ": slice [" +
+                            std::to_string(begin) + ", " +
+                            std::to_string(end) + ") outside [0, " +
+                            std::to_string(num_edges) + ")");
+  }
+}
+
+}  // namespace
 
 void symmetrize(std::vector<edge64>& edges) {
   const std::size_t n = edges.size();
@@ -79,7 +95,7 @@ std::array<edge64, kLanes> rmat_lanes(std::uint64_t seed, unsigned scale,
 
 std::vector<edge64> rmat_slice(const rmat_config& cfg, std::uint64_t begin,
                                std::uint64_t end) {
-  assert(end <= cfg.num_edges());
+  check_slice("rmat", begin, end, cfg.num_edges());
   const double ab = cfg.a + cfg.b;
   const double abc = ab + cfg.c;
   if (abc >= 1.0001) throw std::invalid_argument("rmat: a+b+c must be <= 1");
@@ -137,7 +153,7 @@ std::uint64_t pa_resolve_target(const pa_config& cfg, std::uint64_t i) {
 
 std::vector<edge64> pa_slice(const pa_config& cfg, std::uint64_t begin,
                              std::uint64_t end) {
-  assert(end <= cfg.num_edges());
+  check_slice("pa", begin, end, cfg.num_edges());
   if (cfg.edges_per_vertex == 0) {
     throw std::invalid_argument("pa: edges_per_vertex must be > 0");
   }
@@ -162,7 +178,7 @@ std::vector<edge64> pa_slice(const pa_config& cfg, std::uint64_t begin,
 
 std::vector<edge64> sw_slice(const sw_config& cfg, std::uint64_t begin,
                              std::uint64_t end) {
-  assert(end <= cfg.num_edges());
+  check_slice("sw", begin, end, cfg.num_edges());
   if (cfg.degree % 2 != 0 || cfg.degree == 0) {
     throw std::invalid_argument("sw: degree must be even and > 0");
   }

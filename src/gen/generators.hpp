@@ -12,7 +12,9 @@
 /// function of (config, i), so p ranks generate disjoint slices of the
 /// same global edge list with no communication, and results do not depend
 /// on the number of ranks.  After generation, vertex labels are passed
-/// through a random_permutation exactly as the paper prescribes.
+/// through a random_permutation exactly as the paper prescribes.  A slice
+/// [begin, end) outside [0, num_edges()) — or with begin > end — throws
+/// std::out_of_range.
 #pragma once
 
 #include <cstdint>

@@ -17,6 +17,10 @@ namespace {
 using gen::by_src_dst;
 using gen::edge64;
 
+/// Only remote targets with at least this many local edges are ghost
+/// candidates (a ghost with one local edge cannot filter anything).
+constexpr std::size_t kGhostMinLocalDegree = 2;
+
 /// One owner's report of a local source: sent to the vertex's directory
 /// rank and, for a split vertex, replicated to every rank.
 struct owner_report {
@@ -169,7 +173,7 @@ partition_blueprint build_partition(runtime::comm& c,
           {gid, vertex_locator(rank, i).bits(), src_count[i]});
     }
     std::vector<owner_report> held;
-    for (const auto& batch : c.all_to_allv(reports)) {
+    for (const auto& batch : c.all_to_allv(std::move(reports))) {
       held.insert(held.end(), batch.begin(), batch.end());
     }
     sort::radix_sort(held, gid_owner_key{});
@@ -252,7 +256,7 @@ partition_blueprint build_partition(runtime::comm& c,
     if (i > 0 && by_target[i - 1].global_id == t) continue;
     requests[static_cast<std::size_t>(directory_rank(t, p))].push_back({t});
   }
-  const auto incoming_requests = c.all_to_allv(requests);
+  const auto incoming_requests = c.all_to_allv(std::move(requests));
 
   std::vector<std::uint64_t> sink_ids;  // sinks slotted at this rank
   std::vector<std::vector<dir_reply>> replies(static_cast<std::size_t>(p));
@@ -270,7 +274,7 @@ partition_blueprint build_partition(runtime::comm& c,
           {req.global_id, it->second});
     }
   }
-  const auto incoming_replies = c.all_to_allv(replies);
+  const auto incoming_replies = c.all_to_allv(std::move(replies));
 
   bp.num_sinks = sink_ids.size();
   for (const auto gid : sink_ids) {
@@ -294,7 +298,7 @@ partition_blueprint build_partition(runtime::comm& c,
     for (; j < by_target.size() && by_target[j].global_id == t; ++j) {
       bp.adj_bits[by_target[j].position] = rep.locator_bits;
     }
-    if (cfg.num_ghosts > 0 && j - i >= cfg.ghost_min_local_degree &&
+    if (cfg.num_ghosts > 0 && j - i >= kGhostMinLocalDegree &&
         vertex_locator::from_bits(rep.locator_bits).owner() != rank) {
       cand.emplace_back(j - i, rep.locator_bits);
     }

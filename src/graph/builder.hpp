@@ -52,11 +52,9 @@ struct graph_build_config {
   /// Deduplicate parallel edges globally (RMAT produces them; triangle
   /// counting requires a simple graph).
   bool remove_duplicates = true;
-  /// Maximum ghost vertices per partition (paper Fig. 13; 0 disables).
+  /// Maximum ghost vertices per partition (paper Fig. 13; 0 disables, and
+  /// is how a run measures the visitor queue without ghost filtering).
   std::uint32_t num_ghosts = 256;
-  /// Only remote targets with at least this many local edges are ghost
-  /// candidates (a ghost with one local edge cannot filter anything).
-  std::uint32_t ghost_min_local_degree = 2;
   /// Synthesize per-edge weights (hash of the endpoint global ids, so
   /// both directions of an undirected edge agree) for SSSP.  Weights stay
   /// in DRAM even for external graphs (semi-external model).
@@ -119,7 +117,8 @@ struct partition_blueprint {
   std::vector<std::uint64_t> ghost_locator_bits;
 
   /// This rank's shard of the global-id directory: (global_id, locator
-  /// bits) for every vertex v with hash(v) % p == rank.
+  /// bits) for every vertex v with hash(v) % p == rank, in strictly
+  /// ascending gid order (distributed_graph binary-searches it).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> directory;
 };
 

@@ -13,6 +13,7 @@
 /// are at most two split adjacency lists per partition (paper §III-A1).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <unordered_map>
@@ -51,12 +52,10 @@ class distributed_graph {
     for (std::size_t s = 0; s < num_slots(); ++s) {
       const auto loc = vertex_locator::from_bits(bp_.slot_locator_bits[s]);
       if (loc.owner() != rank()) replica_slot_.emplace(loc.bits(), s);
-      global_to_slot_.emplace(bp_.slot_global_id[s], s);
     }
     for (const auto& e : bp_.split_table) {
       split_by_locator_.emplace(e.locator_bits, &e);
     }
-    directory_.insert(bp_.directory.begin(), bp_.directory.end());
   }
 
   // ---- identity / totals ----
@@ -262,11 +261,15 @@ class distributed_graph {
   // ---- global-id resolution ----
 
   /// Local probe of this rank's directory shard; valid only when
-  /// directory_rank(gid, p) == rank().
+  /// directory_rank(gid, p) == rank().  A binary search: the builder sorts
+  /// the shard by gid and io::load_blueprint rejects one that is not.
   [[nodiscard]] std::optional<vertex_locator> directory_probe(
       std::uint64_t gid) const {
-    const auto it = directory_.find(gid);
-    if (it == directory_.end()) return std::nullopt;
+    const auto& dir = bp_.directory;
+    const auto it = std::lower_bound(
+        dir.begin(), dir.end(), gid,
+        [](const auto& entry, std::uint64_t key) { return entry.first < key; });
+    if (it == dir.end() || it->first != gid) return std::nullopt;
     return vertex_locator::from_bits(it->second);
   }
 
@@ -279,14 +282,6 @@ class distributed_graph {
       if (const auto v = directory_probe(gid)) bits = v->bits();
     }
     return vertex_locator::from_bits(comm_->broadcast(bits, d));
-  }
-
-  /// Local slot of a global id, if this rank stores one.
-  [[nodiscard]] std::optional<std::size_t> local_slot_of_global(
-      std::uint64_t gid) const {
-    const auto it = global_to_slot_.find(gid);
-    if (it == global_to_slot_.end()) return std::nullopt;
-    return it->second;
   }
 
   [[nodiscard]] const partition_blueprint& blueprint() const noexcept {
@@ -303,8 +298,6 @@ class distributed_graph {
   util::flat_index ghost_index_;
   std::unordered_map<std::uint64_t, std::size_t> replica_slot_;
   std::unordered_map<std::uint64_t, const split_entry*> split_by_locator_;
-  std::unordered_map<std::uint64_t, std::uint64_t> directory_;
-  std::unordered_map<std::uint64_t, std::size_t> global_to_slot_;
 };
 
 /// Build a DRAM-resident graph in one call (the common case).

@@ -32,7 +32,7 @@ graph_1d::graph_1d(runtime::comm& c, std::vector<gen::edge64> edges,
     outgoing[static_cast<std::size_t>(e.src / block_stride_)].push_back(e);
   }
   std::vector<gen::edge64> local;
-  for (auto& run : c.all_to_allv(outgoing)) {
+  for (auto& run : c.all_to_allv(std::move(outgoing))) {
     local.insert(local.end(), run.begin(), run.end());
   }
   std::sort(local.begin(), local.end(), gen::by_src_dst{});

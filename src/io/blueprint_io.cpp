@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 
 namespace sfg::io {
@@ -167,6 +168,11 @@ graph::partition_blueprint load_blueprint(const std::string& path) {
   const auto dir_keys = r.vec<std::uint64_t>();
   const auto dir_vals = r.vec<std::uint64_t>();
   if (dir_keys.size() != dir_vals.size()) fail("directory corrupt", path);
+  // distributed_graph::directory_probe binary-searches the shard.
+  if (std::adjacent_find(dir_keys.begin(), dir_keys.end(),
+                         std::greater_equal<>()) != dir_keys.end()) {
+    fail("directory keys not strictly ascending", path);
+  }
   bp.directory.reserve(dir_keys.size());
   for (std::size_t i = 0; i < dir_keys.size(); ++i) {
     bp.directory.emplace_back(dir_keys[i], dir_vals[i]);

@@ -21,12 +21,9 @@ routed_mailbox::routed_mailbox(runtime::comm& c, config cfg)
       seen_packet_seq_(static_cast<std::size_t>(c.size())),
       flow_salt_(util::splitmix64(c.next_context_id())) {
   assert(c.size() <= 0xffff);  // record_header packs ranks into 16 bits
-  if (cfg_.min_aggregation_bytes > cfg_.aggregation_bytes) {
-    cfg_.min_aggregation_bytes = cfg_.aggregation_bytes;
-  }
   for (auto& ch : channels_) {
     ch.watermark = cfg_.aggregation_bytes;
-    ch.reserve_hint = cfg_.min_aggregation_bytes;
+    ch.reserve_hint = std::min(kMinAggregationBytes, cfg_.aggregation_bytes);
   }
   // Traffic-matrix rows are sized once here so every update site — even
   // with the matrix enabled — is a plain indexed increment, never a grow.
@@ -140,7 +137,8 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
       break;
     case flush_reason::age:
       ++stats_.flushes_by_age;
-      ch.watermark = std::max(cfg_.min_aggregation_bytes, ch.watermark / 2);
+      ch.watermark = std::min(cfg_.aggregation_bytes,
+                              std::max(kMinAggregationBytes, ch.watermark / 2));
       break;
     case flush_reason::manual:
       break;
@@ -201,14 +199,13 @@ void routed_mailbox::tick() {
     }
     return;
   }
-  if (cfg_.max_age_ticks == 0) return;
   // Compact dirty_hops_ while scanning: drop entries whose channel was
   // flushed (by size or manually) since they were recorded.
   std::size_t keep = 0;
   for (const int hop : dirty_hops_) {
     auto& ch = channels_[static_cast<std::size_t>(hop)];
     if (ch.empty()) continue;
-    if (tick_now_ - ch.opened_tick >= cfg_.max_age_ticks) {
+    if (tick_now_ - ch.opened_tick >= kMaxAgeTicks) {
       flush_channel(hop, flush_reason::age);
       continue;
     }

@@ -34,11 +34,12 @@
 /// arrow, from the sender's flush to the receiver's delivery.
 ///
 /// Flushing is adaptive: a channel flushes when it reaches its effective
-/// size watermark, or when tick() finds it older than `max_age_ticks`.
-/// Age flushes halve the channel's effective watermark (traffic is too
-/// sparse to fill big packets — stop sitting on records); size flushes
-/// grow it back toward `aggregation_bytes`.  Both kinds are counted in
-/// the stats and the obs metrics registry.
+/// size watermark, or when tick() finds it older than `kMaxAgeTicks`.
+/// Age flushes halve the channel's effective watermark, down to
+/// `kMinAggregationBytes` (traffic is too sparse to fill big packets —
+/// stop sitting on records); size flushes grow it back toward
+/// `aggregation_bytes`.  Both kinds are counted in the stats and the obs
+/// metrics registry.
 #pragma once
 
 #include <algorithm>
@@ -65,6 +66,14 @@ namespace sfg::mailbox {
 
 class routed_mailbox {
  public:
+  /// tick() force-flushes a channel whose oldest record has waited this
+  /// many ticks (one tick per owner poll iteration).
+  static constexpr std::uint32_t kMaxAgeTicks = 64;
+  /// Floor of the adaptive size watermark (age flushes halve it down to
+  /// this, or to aggregation_bytes if that is smaller; size flushes
+  /// double it back up to aggregation_bytes).
+  static constexpr std::size_t kMinAggregationBytes = 1 << 9;
+
   struct config {
     topology topo = topology::direct;
     /// Flush a channel once its buffered payload reaches this size (the
@@ -72,12 +81,6 @@ class routed_mailbox {
     std::size_t aggregation_bytes = 1 << 13;
     /// Tag used for this mailbox's packets on the underlying comm.
     int tag = 0;
-    /// tick() force-flushes a channel whose oldest record has waited this
-    /// many ticks (one tick per owner poll iteration).  0 disables.
-    std::uint32_t max_age_ticks = 64;
-    /// Floor of the adaptive size watermark (age flushes halve it down to
-    /// this; size flushes double it back up to aggregation_bytes).
-    std::size_t min_aggregation_bytes = 1 << 9;
   };
 
   /// Delivery callbacks are called once per delivered record as
@@ -128,7 +131,7 @@ class routed_mailbox {
   std::size_t drain_local(F&& deliver);
 
   /// Advance the age clock: call once per owner poll iteration.  Channels
-  /// older than cfg.max_age_ticks are flushed and their watermark adapts.
+  /// older than kMaxAgeTicks are flushed and their watermark adapts.
   void tick();
 
   /// Push out every non-empty channel buffer.  Must be called when the
@@ -140,8 +143,6 @@ class routed_mailbox {
   /// True when nothing is buffered for sending and no local self-records
   /// are pending.  Part of the owner's "locally idle" predicate.
   [[nodiscard]] bool idle() const;
-
-  [[nodiscard]] const router& route() const noexcept { return router_; }
 
   struct mailbox_stats {
     std::uint64_t records_sent = 0;       ///< records originated here

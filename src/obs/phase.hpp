@@ -41,7 +41,7 @@ enum class phase : std::uint8_t {
   mbox_flush,  ///< stamping and handing packets to the transport
   poll,        ///< receiving: try_recv, packet processing, local drain
   term,        ///< termination-detection control (waves, reports)
-  io_wait,     ///< blocked on the block device (page-cache miss/writeback)
+  io_wait,     ///< blocked on the block device (page-cache miss fill)
   idle,        ///< poll-loop time not attributed to any phase above
 };
 inline constexpr std::size_t kPhaseCount = 8;

@@ -33,20 +33,18 @@ constexpr const char* kTracked[kTsTracked] = {
     "mailbox.packets_dropped_duplicate",
     "cache.hits",
     "cache.misses",
-    "cache.writebacks",
     "comm.bytes_sent",
     "cache.bytes_requested",
     "cache.dev_bytes_read",
-    "cache.dev_bytes_written",
 };
 
 /// Short keys for the JSONL "rates"/"totals" objects (the registry name
 /// minus redundant prefixes; `sfg_obs top` labels come from here too).
 constexpr const char* kTrackedKey[kTsTracked] = {
-    "visitors_executed", "visitors_sent",    "packets_sent",
-    "packet_bytes_sent", "packets_dropped",  "cache_hits",
-    "cache_misses",      "cache_writebacks", "comm_bytes_sent",
-    "bytes_requested",   "dev_bytes_read",   "dev_bytes_written",
+    "visitors_executed", "visitors_sent",   "packets_sent",
+    "packet_bytes_sent", "packets_dropped", "cache_hits",
+    "cache_misses",      "comm_bytes_sent", "bytes_requested",
+    "dev_bytes_read",
 };
 
 /// One rate sample: the JSONL line is this struct spelled out with names.

@@ -39,7 +39,7 @@
 namespace sfg::obs {
 
 /// Registry counters the sampler tracks (ts_tracked_name to enumerate).
-inline constexpr std::size_t kTsTracked = 12;
+inline constexpr std::size_t kTsTracked = 10;
 [[nodiscard]] const char* ts_tracked_name(std::size_t i) noexcept;
 
 namespace detail {

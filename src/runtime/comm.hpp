@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -182,17 +183,8 @@ class comm {
   template <typename T>
   std::vector<T> all_gatherv(std::span<const T> mine,
                              std::vector<std::size_t>* counts_out = nullptr) {
-    publish(mine.data(), mine.size_bytes());
     std::vector<T> out;
-    if (counts_out != nullptr) counts_out->assign(static_cast<std::size_t>(size()), 0);
-    for (int r = 0; r < size(); ++r) {
-      const auto& slot = world_->coll_slots_[static_cast<std::size_t>(r)];
-      const std::size_t n = slot.bytes / sizeof(T);
-      const T* src = static_cast<const T*>(slot.data);
-      out.insert(out.end(), src, src + n);
-      if (counts_out != nullptr) (*counts_out)[static_cast<std::size_t>(r)] = n;
-    }
-    barrier();
+    all_gatherv_into(mine, out, counts_out);
     return out;
   }
 
@@ -224,18 +216,26 @@ class comm {
 
   /// Personalized all-to-all: `outgoing[d]` is this rank's data for rank d
   /// (outgoing.size() == size()).  Returns incoming[s] = data rank s sent
-  /// to this rank.
+  /// to this rank.  This rank's own run is moved, not copied, and
+  /// `outgoing` is left empty: between the two barriers every other rank
+  /// reads only its own index of the published vector.
   template <typename T>
   std::vector<std::vector<T>> all_to_allv(
-      const std::vector<std::vector<T>>& outgoing) {
+      std::vector<std::vector<T>>&& outgoing) {
     publish(&outgoing, sizeof(outgoing));
     std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size()));
     for (int s = 0; s < size(); ++s) {
+      auto& in = incoming[static_cast<std::size_t>(s)];
+      if (s == rank_) {
+        in = std::move(outgoing[static_cast<std::size_t>(s)]);
+        continue;
+      }
       const auto* theirs = static_cast<const std::vector<std::vector<T>>*>(
           world_->coll_slots_[static_cast<std::size_t>(s)].data);
-      incoming[static_cast<std::size_t>(s)] = (*theirs)[static_cast<std::size_t>(rank_)];
+      in = (*theirs)[static_cast<std::size_t>(rank_)];
     }
     barrier();
+    outgoing.clear();
     return incoming;
   }
 

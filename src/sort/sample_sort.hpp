@@ -104,8 +104,9 @@ std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local, Key key) {
 
   // Partition the local run by splitters (bucket d = keys in
   // [splitter[d-1], splitter[d]) ) and exchange.  The local run is freed
-  // once copied out, and the outgoing runs once delivered, so at most two
-  // copies of this rank's share are live at a time.
+  // once copied out, and the outgoing runs once delivered (this rank's own
+  // bucket moves through the exchange), so at most two copies of this
+  // rank's share are live at a time.
   std::vector<std::vector<T>> outgoing(static_cast<std::size_t>(p));
   if (splitters.empty()) {
     outgoing[0] = std::move(local);
@@ -122,8 +123,7 @@ std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local, Key key) {
     }
     local = {};
   }
-  const auto incoming = c.all_to_allv(outgoing);
-  outgoing = {};
+  const auto incoming = c.all_to_allv(std::move(outgoing));
   return merge_runs(incoming, key);
 }
 
@@ -164,8 +164,7 @@ std::vector<T> rebalance_even(runtime::comm& c, std::vector<T> local) {
     const auto mine = piece(r);
     outgoing[static_cast<std::size_t>(r)].assign(mine.begin(), mine.end());
   }
-  const auto incoming = c.all_to_allv(outgoing);
-  outgoing = {};
+  const auto incoming = c.all_to_allv(std::move(outgoing));
   std::vector<T> result;
   result.reserve(
       static_cast<std::size_t>(owner_begin(me + 1) - owner_begin(me)));

@@ -7,7 +7,9 @@
 /// device and injects per-operation latency with a bounded number of
 /// in-flight operations — reproducing the two properties the paper's
 /// design depends on: NVRAM is much slower than DRAM, and it needs *many
-/// concurrent requests* to reach full bandwidth (§II-B).
+/// concurrent requests* to reach full bandwidth (§II-B).  The backing
+/// device every program uses is `memory_device` (DRAM); a file-backed
+/// device for tests lives in tests/support/file_device.hpp.
 #pragma once
 
 #include <chrono>
@@ -16,27 +18,12 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "obs/histogram.hpp"
 #include "obs/stats_fields.hpp"
 
 namespace sfg::storage {
-
-/// Shared I/O accounting for instrumented devices (sim_nvram_device,
-/// mmap_device): operation/byte counters plus per-operation latency
-/// histograms (µs).  Counters are unconditional (one u64 add under the
-/// device's stats lock); the histograms read clocks, so devices record
-/// them only while obs::metrics_on().
-struct device_io_stats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  obs::histogram read_us;
-  obs::histogram write_us;
-};
 
 class block_device {
  public:
@@ -73,25 +60,6 @@ class memory_device final : public block_device {
   std::vector<std::byte> data_;
 };
 
-/// File-backed device using positional I/O (pread/pwrite), so concurrent
-/// accesses need no seek lock.  This is the real persistent path.
-class file_device final : public block_device {
- public:
-  /// Opens (creating if necessary) `path`.  If `truncate`, starts empty.
-  explicit file_device(const std::string& path, bool truncate = true);
-  ~file_device() override;
-
-  file_device(const file_device&) = delete;
-  file_device& operator=(const file_device&) = delete;
-
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  [[nodiscard]] std::uint64_t size_bytes() const override;
-
- private:
-  int fd_ = -1;
-};
-
 /// Latency + queue-depth model wrapped around another device.
 ///
 /// Each read/write sleeps for the configured device latency while holding
@@ -114,12 +82,21 @@ class sim_nvram_device final : public block_device {
   void write(std::uint64_t offset, std::span<const std::byte> data) override;
   [[nodiscard]] std::uint64_t size_bytes() const override;
 
-  /// Latency histograms measure the full operation as a caller sees it:
-  /// queue-slot wait + modeled device latency + inner op — the number the
-  /// paper's "needs many concurrent requests" claim is about.
-  using io_stats = device_io_stats;
+  /// Operation/byte counters plus per-operation latency histograms (µs).
+  /// Counters are unconditional (one u64 add under the stats lock); the
+  /// histograms read clocks, so they are recorded only while
+  /// obs::metrics_on().  They measure the full operation as a caller sees
+  /// it: queue-slot wait + modeled device latency + inner op — the number
+  /// the paper's "needs many concurrent requests" claim is about.
+  struct io_stats {
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t bytes_read = 0;
+    std::uint64_t bytes_written = 0;
+    obs::histogram read_us;
+    obs::histogram write_us;
+  };
   [[nodiscard]] io_stats stats() const;
-  void reset_stats();
 
  private:
   class inflight_slot;
@@ -145,12 +122,10 @@ void write_array(block_device& dev, std::uint64_t offset,
 }  // namespace sfg::storage
 
 /// Reflection for the shared stats conventions (delta / add / reset /
-/// to_json / to_registry) — see obs/stats_fields.hpp.  One specialization
-/// covers every instrumented device (sim_nvram_device::io_stats is an
-/// alias of device_io_stats).
+/// to_json / to_registry) — see obs/stats_fields.hpp.
 template <>
-struct sfg::obs::stats_traits<sfg::storage::device_io_stats> {
-  using S = sfg::storage::device_io_stats;
+struct sfg::obs::stats_traits<sfg::storage::sim_nvram_device::io_stats> {
+  using S = sfg::storage::sim_nvram_device::io_stats;
   static constexpr auto fields = std::make_tuple(
       stats_field{"reads", &S::reads}, stats_field{"writes", &S::writes},
       stats_field{"bytes_read", &S::bytes_read},

@@ -40,18 +40,12 @@ page_cache::page_cache(block_device& dev, config cfg)
       m_misses_(obs::metrics_registry::instance().get_counter("cache.misses")),
       m_evictions_(
           obs::metrics_registry::instance().get_counter("cache.evictions")),
-      m_writebacks_(
-          obs::metrics_registry::instance().get_counter("cache.writebacks")),
       m_bytes_requested_(obs::metrics_registry::instance().get_counter(
           "cache.bytes_requested")),
       m_dev_bytes_read_(obs::metrics_registry::instance().get_counter(
           "cache.dev_bytes_read")),
-      m_dev_bytes_written_(obs::metrics_registry::instance().get_counter(
-          "cache.dev_bytes_written")),
       m_read_us_(
           obs::metrics_registry::instance().get_histogram("cache.read_us")),
-      m_write_us_(
-          obs::metrics_registry::instance().get_histogram("cache.write_us")),
       m_fault_us_(
           obs::metrics_registry::instance().get_histogram("cache.fault_us")) {
   if (cfg.page_size == 0 || cfg.num_frames == 0) {
@@ -92,13 +86,13 @@ void page_cache::on_mem_pressure(obs::mem_pressure_level level) {
     const std::size_t floor_frames = std::min<std::size_t>(4, cfg_.num_frames);
     frame_limit_ = std::max(floor_frames, frame_limit_ / 2);
     if (clock_hand_ >= frame_limit_) clock_hand_ = 0;
-    // Free the backing of clean, unpinned frames beyond the new bound so
-    // the bytes actually leave (observable in the cache_frames ledger).
-    // Pinned, dirty or loading frames stay — best effort, retried on the
-    // next transition.
+    // Free the backing of unpinned frames beyond the new bound so the
+    // bytes actually leave (observable in the cache_frames ledger).
+    // Pinned or loading frames stay — best effort, retried on the next
+    // transition.
     for (std::size_t i = frame_limit_; i < frames_.size(); ++i) {
       frame& f = frames_[i];
-      if (f.pins > 0 || f.loading || f.dirty) continue;
+      if (f.pins > 0 || f.loading) continue;
       if (f.page_id != kNoPage) {
         table_.erase(f.page_id);
         f.page_id = kNoPage;
@@ -153,12 +147,6 @@ std::span<const std::byte> page_cache::page_ref::data() const {
   return cache_->frames_[frame_].data;
 }
 
-std::span<std::byte> page_cache::page_ref::mutable_data() {
-  assert(valid());
-  cache_->mark_dirty(frame_);
-  return cache_->frames_[frame_].data;
-}
-
 // ---------------------------------------------------------------------------
 // page_cache
 // ---------------------------------------------------------------------------
@@ -188,7 +176,7 @@ void page_cache::fault_evict_locked() {
   const std::size_t start = fault_stream_.below(frames_.size());
   for (std::size_t i = 0; i < frames_.size(); ++i) {
     frame& f = frames_[(start + i) % frames_.size()];
-    if (f.page_id == kNoPage || f.pins > 0 || f.loading || f.dirty) continue;
+    if (f.page_id == kNoPage || f.pins > 0 || f.loading) continue;
     table_.erase(f.page_id);
     f.page_id = kNoPage;
     f.referenced = false;
@@ -233,8 +221,8 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     if (const auto hit = table_.find(page_id)) {
       frame& f = frames_[*hit];
       if (f.loading) {
-        // Another thread is faulting this page in (or writing it back);
-        // wait for the I/O to finish, then re-check.
+        // Another thread is faulting this page in; wait for the I/O to
+        // finish, then re-check.
         cv_.wait(lock);
         continue;
       }
@@ -254,48 +242,6 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     }
     frame& f = frames_[v];
 
-    if (f.page_id != kNoPage && f.dirty) {
-      // Write back the victim without holding the lock.  The frame is
-      // marked loading so nobody evicts/claims it; a copy is written so
-      // the buffer cannot be raced.
-      f.loading = true;
-      f.dirty = false;  // cleared before the write so a concurrent
-                        // re-dirty (impossible here, pins==0, but see
-                        // flush_dirty) is never lost
-      const std::uint64_t old_page = f.page_id;
-      std::vector<std::byte> copy = f.data;
-      const auto io_delay = draw_io_delay_locked();
-      const std::uint64_t w0 = data_on ? now_us() : 0;
-      {
-        // io_wait phase: only the unlocked device time counts — lock
-        // contention stays attributed to whatever phase the caller is in.
-        // With SFG_SPANS set these scopes also become the page-cache fault
-        // spans of the critical-path log (phase.cpp records each io_wait
-        // self-time interval; `sfg_obs why` cross-refs them with the cache
-        // amplification counters).
-        const obs::phase_scope pscope(obs::phase::io_wait);
-        obs::trace_span span("cache.writeback", "storage");
-        span.set_arg("bytes", static_cast<double>(copy.size()));
-        lock.unlock();
-        dev_->write(old_page * cfg_.page_size, copy);
-        if (io_delay.count() > 0) std::this_thread::sleep_for(io_delay);
-        lock.lock();
-      }
-      f.loading = false;
-      ++stats_.writebacks;
-      ++stats_.evict_writeback;
-      stats_.dev_bytes_written += copy.size();
-      if (data_on) {
-        const std::uint64_t us = now_us() - w0;
-        stats_.write_us.add(us);
-        m_write_us_.record_raw(us);
-        m_writebacks_.add_raw(1);
-        m_dev_bytes_written_.add_raw(copy.size());
-      }
-      cv_.notify_all();
-      continue;  // state changed while unlocked; restart the search
-    }
-
     if (f.page_id != kNoPage) {
       obs::trace_instant("cache.evict", "storage", "page",
                          static_cast<double>(f.page_id));
@@ -311,7 +257,6 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     f.loading = true;
     f.pins = 1;
     f.referenced = true;
-    f.dirty = false;
     ++f.touches;
     // The device writes every byte of the frame (block_device::read's
     // contract), so a reused frame is not cleared first: the page is
@@ -329,6 +274,12 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     const auto io_delay = draw_io_delay_locked();
     const std::uint64_t r0 = data_on ? now_us() : 0;
     {
+      // io_wait phase: only the unlocked device time counts — lock
+      // contention stays attributed to whatever phase the caller is in.
+      // With SFG_SPANS set these scopes also become the page-cache fault
+      // spans of the critical-path log (phase.cpp records each io_wait
+      // self-time interval; `sfg_obs why` cross-refs them with the cache
+      // amplification counters).
       const obs::phase_scope pscope(obs::phase::io_wait);
       obs::trace_span span("cache.miss_fill", "storage");
       span.set_arg("page", static_cast<double>(page_id));
@@ -364,48 +315,6 @@ void page_cache::unpin(std::size_t frame_idx, std::size_t declared_bytes) {
     }
   }
   cv_.notify_all();
-}
-
-void page_cache::mark_dirty(std::size_t frame_idx) {
-  const std::scoped_lock lock(mu_);
-  assert(frames_[frame_idx].pins > 0);
-  frames_[frame_idx].dirty = true;
-}
-
-void page_cache::flush_dirty() {
-  std::unique_lock lock(mu_);
-  const bool data_on = obs::metrics_on();
-  for (std::size_t i = 0; i < frames_.size(); ++i) {
-    frame& f = frames_[i];
-    if (f.page_id == kNoPage || !f.dirty || f.loading) continue;
-    f.loading = true;
-    f.dirty = false;  // cleared first: a pinned writer re-dirtying the
-                      // page during our unlocked write keeps its bit
-    const std::uint64_t page = f.page_id;
-    std::vector<std::byte> copy = f.data;
-    const auto io_delay = draw_io_delay_locked();
-    const std::uint64_t w0 = data_on ? now_us() : 0;
-    {
-      const obs::phase_scope pscope(obs::phase::io_wait);
-      obs::trace_span span("cache.writeback", "storage");
-      span.set_arg("bytes", static_cast<double>(copy.size()));
-      lock.unlock();
-      dev_->write(page * cfg_.page_size, copy);
-      if (io_delay.count() > 0) std::this_thread::sleep_for(io_delay);
-      lock.lock();
-    }
-    f.loading = false;
-    ++stats_.writebacks;
-    stats_.dev_bytes_written += copy.size();
-    if (data_on) {
-      const std::uint64_t us = now_us() - w0;
-      stats_.write_us.add(us);
-      m_write_us_.record_raw(us);
-      m_writebacks_.add_raw(1);
-      m_dev_bytes_written_.add_raw(copy.size());
-    }
-    cv_.notify_all();
-  }
 }
 
 page_cache::cache_stats page_cache::stats() const {

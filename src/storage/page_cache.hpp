@@ -6,15 +6,18 @@
 /// misses (misses release the cache lock during device I/O, so other
 /// threads keep hitting), and bound DRAM use to a fixed number of frames.
 ///
+/// The cache is read-only, as in the paper's external-memory mode: the
+/// CSR is written to the device once (write_array) before the cache
+/// exists, so a frame is never dirty and a victim is simply dropped.
+///
 /// Eviction is CLOCK (second chance) over unpinned frames.  Pages are
 /// pinned while a page_ref is alive; pinned pages are never evicted.
-/// Dirty pages are written back on eviction and on flush_dirty().
 ///
 /// The page table is a util::flat_index sized at construction for one key
 /// per frame, so a miss that evicts neither frees nor allocates.  A thread
 /// that blocks (every frame pinned, or the page mid-I/O) waits on one
-/// condition variable that every unpin, fill and writeback notifies, and
-/// re-checks its state under the lock when woken.
+/// condition variable that every unpin and fill notifies, and re-checks
+/// its state under the lock when woken.
 #pragma once
 
 #include <array>
@@ -46,8 +49,8 @@ class page_cache {
   /// Decisions are deterministic per (seed, call index).  Inert by default.
   struct fault_hooks {
     std::uint64_t seed = 0;
-    double evict_prob = 0.0;     ///< per get(): drop one unpinned clean frame
-    double io_delay_prob = 0.0;  ///< per device read/write: sleep afterwards
+    double evict_prob = 0.0;     ///< per get(): drop one unpinned frame
+    double io_delay_prob = 0.0;  ///< per miss fill: sleep afterwards
     std::chrono::nanoseconds max_io_delay{0};
 
     [[nodiscard]] bool enabled() const noexcept {
@@ -89,9 +92,6 @@ class page_cache {
     /// Read-only view of the page's bytes.
     [[nodiscard]] std::span<const std::byte> data() const;
 
-    /// Writable view; marks the page dirty.
-    [[nodiscard]] std::span<std::byte> mutable_data();
-
    private:
     friend class page_cache;
     page_ref(page_cache* cache, std::size_t frame, std::uint64_t page_id)
@@ -109,46 +109,33 @@ class page_cache {
   ///
   /// `requested_bytes` is the caller's declared demand from this page (a
   /// paged_array element access passes sizeof(T), a cursor its span) — the
-  /// denominator of the read/write-amplification pair: the device always
-  /// moves whole pages, so amplification = dev_bytes_moved /
-  /// bytes_requested.  The one-argument form charges a full page; demand
-  /// declared later on the page_ref is charged when it is released.
+  /// denominator of read amplification: the device always moves whole
+  /// pages, so amplification = dev_bytes_read / bytes_requested.  The
+  /// one-argument form charges a full page; demand declared later on the
+  /// page_ref is charged when it is released.
   page_ref get(std::uint64_t page_id) { return get(page_id, cfg_.page_size); }
   page_ref get(std::uint64_t page_id, std::size_t requested_bytes);
 
-  /// Write back every dirty page (does not evict).
-  void flush_dirty();
-
   [[nodiscard]] std::size_t page_size() const noexcept { return cfg_.page_size; }
-  [[nodiscard]] std::size_t num_frames() const noexcept { return cfg_.num_frames; }
 
   struct cache_stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;        ///< capacity evictions (clean victim)
-    std::uint64_t writebacks = 0;
+    std::uint64_t evictions = 0;        ///< capacity evictions
     std::uint64_t fault_evictions = 0;  ///< frames dropped by injected pressure
     std::uint64_t fault_io_delays = 0;  ///< device I/Os artificially delayed
     /// I/O attribution (DESIGN.md §12).  The amplification pair: callers
     /// declare their demand per get() (bytes_requested); the device always
-    /// moves whole pages (dev_bytes_read on miss fills, dev_bytes_written
-    /// on writebacks).  read amplification = dev_bytes_read /
-    /// bytes_requested.
+    /// moves whole pages (dev_bytes_read on miss fills).  read
+    /// amplification = dev_bytes_read / bytes_requested.
     std::uint64_t bytes_requested = 0;
     std::uint64_t dev_bytes_read = 0;
-    std::uint64_t dev_bytes_written = 0;
-    /// Eviction-cause counter missing above: victims that were dirty and
-    /// stalled the miss on a writeback first (capacity evictions of clean
-    /// frames stay in `evictions`, injected drops in `fault_evictions`).
-    std::uint64_t evict_writeback = 0;
     /// Per-operation latency histograms (µs), recorded only while
     /// obs::metrics_on() — clock reads cost too much for the always-on
     /// path.  fault_us is the full miss service time a caller observed
-    /// (victim search + any writeback stall + fill); read_us / write_us
-    /// are the unlocked device sections (injected delays included — they
-    /// model slow media).
+    /// (victim search + fill); read_us is the unlocked device read
+    /// (injected delays included — they model slow media).
     obs::histogram read_us;
-    obs::histogram write_us;
     obs::histogram fault_us;
     /// Sampled reuse distance: accesses between touches of the same page,
     /// tracked through a fixed 256-slot hash table (collisions overwrite —
@@ -177,7 +164,6 @@ class page_cache {
   struct frame {
     std::uint64_t page_id = kNoPage;
     int pins = 0;
-    bool dirty = false;
     bool loading = false;     ///< device I/O in flight for this frame
     bool referenced = false;  ///< CLOCK reference bit
     std::uint64_t touches = 0;  ///< hits + claims; heat_json() ranks by this
@@ -199,13 +185,12 @@ class page_cache {
 
   /// Release one pin, charging the demand declared on it since the get.
   void unpin(std::size_t frame_idx, std::size_t declared_bytes);
-  void mark_dirty(std::size_t frame_idx);
 
   /// Pick an evictable frame with the CLOCK hand; caller holds the lock.
-  /// Returns num_frames() if nothing is currently evictable.
+  /// Returns frames_.size() if nothing is currently evictable.
   std::size_t find_victim_locked();
 
-  /// Injected eviction pressure: drop one unpinned, clean, resident frame
+  /// Injected eviction pressure: drop one unpinned, resident frame
   /// chosen by the fault stream.  Caller holds the lock.
   void fault_evict_locked();
 
@@ -220,7 +205,7 @@ class page_cache {
 
   /// Memory-pressure reaction (dispatched from obs::mem_pressure_poll,
   /// never from inside a charge): soft/hard halves the effective frame
-  /// bound and frees clean unpinned frames beyond it; ok restores the
+  /// bound and frees unpinned frames beyond it; ok restores the
   /// configured pool size.
   void on_mem_pressure(obs::mem_pressure_level level);
 
@@ -252,14 +237,11 @@ class page_cache {
   obs::counter& m_hits_;
   obs::counter& m_misses_;
   obs::counter& m_evictions_;
-  obs::counter& m_writebacks_;
   obs::counter& m_bytes_requested_;
   obs::counter& m_dev_bytes_read_;
-  obs::counter& m_dev_bytes_written_;
   /// Registry twins of the per-instance latency histograms: process-wide,
   /// so every run report's metrics snapshot carries cache I/O latency.
   obs::histogram_metric& m_read_us_;
-  obs::histogram_metric& m_write_us_;
   obs::histogram_metric& m_fault_us_;
 };
 
@@ -273,15 +255,11 @@ struct sfg::obs::stats_traits<sfg::storage::page_cache::cache_stats> {
   static constexpr auto fields = std::make_tuple(
       stats_field{"hits", &S::hits}, stats_field{"misses", &S::misses},
       stats_field{"evictions", &S::evictions},
-      stats_field{"writebacks", &S::writebacks},
       stats_field{"fault_evictions", &S::fault_evictions},
       stats_field{"fault_io_delays", &S::fault_io_delays},
       stats_field{"bytes_requested", &S::bytes_requested},
       stats_field{"dev_bytes_read", &S::dev_bytes_read},
-      stats_field{"dev_bytes_written", &S::dev_bytes_written},
-      stats_field{"evict_writeback", &S::evict_writeback},
       stats_field{"read_us", &S::read_us},
-      stats_field{"write_us", &S::write_us},
       stats_field{"fault_us", &S::fault_us},
       stats_field{"reuse_dist", &S::reuse_dist});
 };

@@ -8,7 +8,7 @@
 ///   - a transport fault schedule (delay / reorder / duplicate / stall
 ///     probabilities and magnitudes, via fault_params::chaos), and
 ///   - a queue configuration (routing topology, aggregation threshold,
-///     batch size, ghost toggle, tie-break) via make_schedule,
+///     batch size, tie-break) and a ghost toggle via make_schedule,
 /// so one seed names a complete adversarial regime.
 ///
 /// Reproducing a failure: every check runs under a SCOPED_TRACE naming the
@@ -29,6 +29,7 @@
 #include "core/visitor_queue.hpp"
 #include "gen/edge.hpp"
 #include "gen/generators.hpp"
+#include "graph/builder.hpp"
 #include "obs/flight.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/runtime.hpp"
@@ -41,6 +42,15 @@ struct schedule {
   std::uint64_t seed = 0;
   runtime::fault_params faults;   ///< transport + stall faults for the world
   core::queue_config queue;       ///< queue knobs (faults threaded through)
+  bool ghosts = true;             ///< false: graphs are built without ghosts
+
+  /// The graph config a sweep builds with: `cfg`, without ghosts when the
+  /// schedule turns them off.
+  [[nodiscard]] graph::graph_build_config graph_config(
+      graph::graph_build_config cfg = {}) const {
+    if (!ghosts) cfg.num_ghosts = 0;
+    return cfg;
+  }
 };
 
 inline schedule make_schedule(std::uint64_t seed) {
@@ -56,7 +66,7 @@ inline schedule make_schedule(std::uint64_t seed) {
   q.topo = kTopos[knobs.below(3)];
   q.aggregation_bytes = std::size_t{1} << (4 + knobs.below(10));  // 16 B .. 8 KiB
   q.batch_size = 1 + static_cast<int>(knobs.below(64));
-  q.use_ghosts = knobs.decide(0.5);
+  s.ghosts = knobs.decide(0.5);
   q.tiebreak = knobs.decide(0.5) ? core::order_tiebreak::vertex_locality
                                  : core::order_tiebreak::scrambled;
   q.faults = s.faults;

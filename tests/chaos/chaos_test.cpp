@@ -61,7 +61,7 @@ void bfs_sweep_on(graph::partitioner_kind kind, std::uint64_t base_seed) {
   run_sweep({.ranks = 4, .num_seeds = 32, .base_seed = base_seed},
             [&](comm& c, const schedule& s) {
               auto mine = slice_edges(edges, c.rank(), c.size());
-              graph::graph_build_config gcfg{.num_ghosts = 32};
+              auto gcfg = s.graph_config({.num_ghosts = 32});
               gcfg.partitioner.kind = kind;
               auto g = build_in_memory_graph(c, mine, gcfg);
               auto result =
@@ -150,7 +150,7 @@ TEST(Chaos, SsspSeedSweep) {
   run_sweep({.ranks = 4, .num_seeds = 8, .base_seed = 0x555B},
             [&](comm& c, const schedule& s) {
               auto mine = slice_edges(edges, c.rank(), c.size());
-              graph::graph_build_config gcfg;
+              auto gcfg = s.graph_config();
               gcfg.make_weights = true;
               gcfg.max_weight = kMaxW;
               auto g = build_in_memory_graph(c, mine, gcfg);
@@ -174,7 +174,7 @@ TEST(Chaos, ConnectedComponentsSeedSweep) {
   run_sweep({.ranks = 4, .num_seeds = 8, .base_seed = 0xCCC5},
             [&](comm& c, const schedule& s) {
               auto mine = slice_edges(edges, c.rank(), c.size());
-              auto g = build_in_memory_graph(c, mine, {});
+              auto g = build_in_memory_graph(c, mine, s.graph_config());
               auto result = core::run_connected_components(g, s.queue);
               const auto labels = gather_global(c, g, [&](std::size_t slot) {
                 return result.state.local(slot).label_bits;
@@ -328,7 +328,8 @@ TEST(Chaos, PacketFlowsMatchUnderFaults) {
   run_sweep({.ranks = 4, .num_seeds = 4, .base_seed = 0x7'4ACE},
             [&](comm& c, const schedule& s) {
               auto mine = slice_edges(edges, c.rank(), c.size());
-              auto g = build_in_memory_graph(c, mine, {.num_ghosts = 32});
+              auto g = build_in_memory_graph(
+                  c, mine, s.graph_config({.num_ghosts = 32}));
               const auto result =
                   core::run_bfs(g, g.locate(edges.front().src), s.queue);
               packets_sent += result.stats.mailbox.packets_sent;
@@ -375,7 +376,8 @@ TEST(Chaos, TimeSeriesSurvivesFaults) {
   run_sweep({.ranks = 4, .num_seeds = 4, .base_seed = 0x75'0BED},
             [&](comm& c, const schedule& s) {
               auto mine = slice_edges(edges, c.rank(), c.size());
-              auto g = build_in_memory_graph(c, mine, {.num_ghosts = 32});
+              auto g = build_in_memory_graph(
+                  c, mine, s.graph_config({.num_ghosts = 32}));
               auto result =
                   core::run_bfs(g, g.locate(edges.front().src), s.queue);
               (void)result;
@@ -430,7 +432,8 @@ TEST(Chaos, MemAccountingBalancesUnderFaults) {
   run_sweep({.ranks = kRanks, .num_seeds = 32, .base_seed = 0x3E3B41},
             [&](comm& c, const schedule& s) {
               auto mine = slice_edges(edges, c.rank(), c.size());
-              auto g = build_in_memory_graph(c, mine, {.num_ghosts = 32});
+              auto g = build_in_memory_graph(
+                  c, mine, s.graph_config({.num_ghosts = 32}));
               auto result =
                   core::run_bfs(g, g.locate(edges.front().src), s.queue);
               const auto levels = gather_global(c, g, [&](std::size_t slot) {
@@ -566,7 +569,7 @@ TEST(Chaos, ScheduleDerivationIsDeterministic) {
     EXPECT_EQ(a.queue.topo, b.queue.topo);
     EXPECT_EQ(a.queue.aggregation_bytes, b.queue.aggregation_bytes);
     EXPECT_EQ(a.queue.batch_size, b.queue.batch_size);
-    EXPECT_EQ(a.queue.use_ghosts, b.queue.use_ghosts);
+    EXPECT_EQ(a.ghosts, b.ghosts);
   }
   // ...and the fault knobs are actually hot (a chaos schedule is never
   // accidentally a no-op).

@@ -96,7 +96,6 @@ TEST_P(BfsMatrix, RmatMatchesSerial) {
   const auto edges = gen::rmat_slice(rc, 0, rc.num_edges());
   queue_config qcfg;
   qcfg.topo = topo;
-  qcfg.use_ghosts = ghosts;
   graph_build_config gcfg;
   gcfg.num_ghosts = ghosts ? 64 : 0;
   check_bfs_matches_serial(edges, edges.front().src, p, qcfg, gcfg);

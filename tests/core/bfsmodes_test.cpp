@@ -301,47 +301,5 @@ TEST(BfsModesExternal, SurvivesInjectedEvictions) {
   check_external_store(family::rmat, 4, faults);
 }
 
-// α/β env overrides must reach the heuristic: α so large top-down always
-// wins, and with the config fields taking precedence over the env.
-TEST(BfsModesEnv, AlphaBetaKnobs) {
-  const auto edges = make_family(family::star_hub);
-  const std::uint64_t source_gid = edges.front().src;
-  const auto ref = reference::serial_graph::from_edges(edges);
-  const auto exp = reference::serial_bfs(ref, source_gid);
-  launch(2, [&](comm& c) {
-    const auto range = gen::slice_for_rank(edges.size(), c.rank(), 2);
-    std::vector<edge64> mine(
-        edges.begin() + static_cast<std::ptrdiff_t>(range.begin),
-        edges.begin() + static_cast<std::ptrdiff_t>(range.end));
-    auto g = build_in_memory_graph(c, mine, {});
-    const auto source = g.locate(source_gid);
-
-    // α tiny: the switch threshold m_u/α is astronomically high, so the
-    // hybrid degenerates to pure top-down and still matches serial.
-    hybrid_bfs_config never;
-    never.alpha = 1e-9;
-    auto r1 = run_bfs_mode(g, source, never);
-    EXPECT_EQ(r1.direction_switch_level, -1);
-
-    // α huge: threshold ~0, switches at level 0; β huge: the return
-    // threshold n/β is ~0, so it stays bottom-up to the end.
-    hybrid_bfs_config always;
-    always.alpha = 1e18;
-    always.beta = 1e18;
-    auto r2 = run_bfs_mode(g, source, always);
-    EXPECT_EQ(r2.direction_switch_level, 0);
-    for (const auto& ls : r2.levels) EXPECT_TRUE(ls.bottom_up);
-
-    for (auto* r : {&r1, &r2}) {
-      const auto levels = gather_global(c, g, [&](std::size_t s) {
-        return r->state.local(s).level;
-      });
-      for (const auto& [gid, level] : levels) {
-        ASSERT_EQ(level, exp[gid]) << "vertex " << gid;
-      }
-    }
-  });
-}
-
 }  // namespace
 }  // namespace sfg::core

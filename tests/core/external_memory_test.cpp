@@ -17,6 +17,7 @@
 #include "runtime/runtime.hpp"
 #include "storage/block_device.hpp"
 #include "storage/page_cache.hpp"
+#include "support/file_device.hpp"
 
 namespace sfg::core {
 namespace {
@@ -125,7 +126,7 @@ TEST(ExternalMemory, FileBackedGraphWorks) {
                        ("sfg_em_rank" + std::to_string(c.rank()) + ".bin"))
                           .string();
     {
-      storage::file_device dev(path, true);
+      test::file_device dev(path, true);
       storage::page_cache cache(dev, {kPage, 16});
       auto g = graph::build_external_graph(c, mine, {}, dev, cache);
       auto result = run_bfs(g, g.locate(edges.front().src), {});

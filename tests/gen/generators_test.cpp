@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -89,6 +90,33 @@ TEST(Generators, PaAndSwSlicesStitchToo) {
     stitched.insert(stitched.end(), part.begin(), part.end());
   }
   EXPECT_EQ(stitched, sw_full);
+}
+
+// A slice reaching past the last edge, or with begin > end, throws before
+// any edge is made, in every build type; the whole list and an empty
+// slice at its end do not.
+TEST(Generators, SliceOutsideTheGraphThrows) {
+  const rmat_config rc{.scale = 6, .edge_factor = 4, .seed = 3};
+  const pa_config pc{.num_vertices = 64, .edges_per_vertex = 4, .seed = 5};
+  const sw_config sc{.num_vertices = 64, .degree = 8, .seed = 5};
+  const auto check = [](const auto& cfg, auto slice) {
+    const std::uint64_t n = cfg.num_edges();
+    EXPECT_THROW(slice(cfg, 0, n + 1), std::out_of_range);
+    EXPECT_THROW(slice(cfg, n - 1, n + 1), std::out_of_range);
+    EXPECT_THROW(slice(cfg, 11, 10), std::out_of_range);
+    EXPECT_THROW(slice(cfg, n + 1, n), std::out_of_range);
+    EXPECT_EQ(slice(cfg, 0, n).size(), n);
+    EXPECT_TRUE(slice(cfg, n, n).empty());
+  };
+  check(rc, [](const rmat_config& c, std::uint64_t b, std::uint64_t e) {
+    return rmat_slice(c, b, e);
+  });
+  check(pc, [](const pa_config& c, std::uint64_t b, std::uint64_t e) {
+    return pa_slice(c, b, e);
+  });
+  check(sc, [](const sw_config& c, std::uint64_t b, std::uint64_t e) {
+    return sw_slice(c, b, e);
+  });
 }
 
 // ---------------------------------------------------------------------------

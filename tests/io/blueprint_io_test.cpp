@@ -131,14 +131,18 @@ TEST(BlueprintIo, CorruptFileRejected) {
   std::filesystem::remove(path);
 }
 
-/// Save a minimal blueprint for rank 0 of 2 with the given ghost list,
-/// then load it back.
-graph::partition_blueprint reload_with_ghosts(const std::string& name,
-                                              std::vector<std::uint64_t> ghosts) {
+using directory_entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// Save a minimal blueprint for rank 0 of 2 with the given ghost list and
+/// directory shard, then load it back.
+graph::partition_blueprint reload_minimal(const std::string& name,
+                                          std::vector<std::uint64_t> ghosts,
+                                          directory_entries directory = {}) {
   graph::partition_blueprint bp;
   bp.rank = 0;
   bp.p = 2;
   bp.ghost_locator_bits = std::move(ghosts);
+  bp.directory = std::move(directory);
   const auto path = tmp_base(name) + ".rank0.sfg";
   save_blueprint(path, bp);
   struct remove_on_exit {
@@ -149,12 +153,11 @@ graph::partition_blueprint reload_with_ghosts(const std::string& name,
 }
 
 /// The load must fail, and for the stated reason.
-void expect_ghosts_rejected(const std::string& name,
-                            std::vector<std::uint64_t> ghosts,
-                            const std::string& reason) {
+void expect_rejected(const std::string& name, std::vector<std::uint64_t> ghosts,
+                     directory_entries directory, const std::string& reason) {
   try {
-    (void)reload_with_ghosts(name, std::move(ghosts));
-    ADD_FAILURE() << "ghost list accepted; expected: " << reason;
+    (void)reload_minimal(name, std::move(ghosts), std::move(directory));
+    ADD_FAILURE() << "blueprint accepted; expected: " << reason;
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
   }
@@ -163,29 +166,42 @@ void expect_ghosts_rejected(const std::string& name,
 constexpr std::uint64_t kRemoteGhost = graph::vertex_locator(1, 7).bits();
 
 TEST(BlueprintIo, InvalidGhostLocatorRejected) {
-  EXPECT_NO_THROW(reload_with_ghosts("sfg_bp_ghost_ok", {kRemoteGhost}));
-  expect_ghosts_rejected(
-      "sfg_bp_ghost_invalid",
-      {kRemoteGhost, graph::vertex_locator::invalid().bits()},
-      "invalid ghost locator");
+  EXPECT_NO_THROW(reload_minimal("sfg_bp_ghost_ok", {kRemoteGhost}));
+  expect_rejected("sfg_bp_ghost_invalid",
+                  {kRemoteGhost, graph::vertex_locator::invalid().bits()}, {},
+                  "invalid ghost locator");
 }
 
 TEST(BlueprintIo, DuplicateGhostLocatorRejected) {
-  expect_ghosts_rejected(
+  expect_rejected(
       "sfg_bp_ghost_dup",
-      {kRemoteGhost, graph::vertex_locator(1, 3).bits(), kRemoteGhost},
+      {kRemoteGhost, graph::vertex_locator(1, 3).bits(), kRemoteGhost}, {},
       "duplicate ghost locator");
 }
 
 TEST(BlueprintIo, GhostOwnerOutOfRangeRejected) {
   // Owned by the loading rank: a ghost must stand in for a remote vertex.
-  expect_ghosts_rejected("sfg_bp_ghost_own",
-                         {graph::vertex_locator(0, 7).bits()},
-                         "ghost owner is this rank or out of range");
+  expect_rejected("sfg_bp_ghost_own", {graph::vertex_locator(0, 7).bits()},
+                  {}, "ghost owner is this rank or out of range");
   // Owner >= p: no rank masters it.
-  expect_ghosts_rejected("sfg_bp_ghost_range",
-                         {graph::vertex_locator(2, 7).bits()},
-                         "ghost owner is this rank or out of range");
+  expect_rejected("sfg_bp_ghost_range", {graph::vertex_locator(2, 7).bits()},
+                  {}, "ghost owner is this rank or out of range");
+}
+
+// distributed_graph answers directory probes by binary search over the
+// shard, so its keys must be strictly ascending: two swapped entries or a
+// repeated key would make a present gid unfindable or ambiguous.
+TEST(BlueprintIo, UnsortedDirectoryRejected) {
+  const std::uint64_t a = graph::vertex_locator(0, 1).bits();
+  const std::uint64_t b = graph::vertex_locator(1, 2).bits();
+  const std::uint64_t d = graph::vertex_locator(0, 3).bits();
+  const auto loaded =
+      reload_minimal("sfg_bp_dir_ok", {}, {{4, a}, {10, b}, {12, d}});
+  EXPECT_EQ(loaded.directory, (directory_entries{{4, a}, {10, b}, {12, d}}));
+  expect_rejected("sfg_bp_dir_swapped", {}, {{4, a}, {12, d}, {10, b}},
+                  "directory keys not strictly ascending");
+  expect_rejected("sfg_bp_dir_repeated", {}, {{4, a}, {10, b}, {10, d}},
+                  "directory keys not strictly ascending");
 }
 
 TEST(BlueprintIo, MissingFileRejected) {

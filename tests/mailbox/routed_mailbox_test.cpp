@@ -232,6 +232,84 @@ TEST(Mailbox, BufferFullTriggersAutoFlush) {
   });
 }
 
+/// Records rank 0 sends to rank 1 until the channel flushes by size: the
+/// channel's current watermark, counted in records.
+int records_until_size_flush(routed_mailbox& mb) {
+  const std::uint64_t before = mb.stats().flushes_by_size;
+  const test_record r{0, 1, 0, 0};
+  int n = 0;
+  while (mb.stats().flushes_by_size == before) {
+    mb.send(1, runtime::as_bytes_of(r));
+    ++n;
+  }
+  return n;
+}
+
+/// One record to rank 1, aged out: kMaxAgeTicks ticks flush it.
+void age_flush_one(routed_mailbox& mb) {
+  const test_record r{0, 1, 0, 0};
+  mb.send(1, runtime::as_bytes_of(r));
+  for (std::uint32_t t = 0; t < routed_mailbox::kMaxAgeTicks; ++t) mb.tick();
+}
+
+TEST(Mailbox, AgeFlushAfterMaxAgeTicks) {
+  launch(2, [](runtime::comm& c) {
+    routed_mailbox mb(c, {topology::direct, 1 << 16, kMailTag});
+    if (c.rank() == 0) {
+      const test_record r{0, 1, 0, 0};
+      mb.send(1, runtime::as_bytes_of(r));
+      for (std::uint32_t t = 1; t < routed_mailbox::kMaxAgeTicks; ++t) {
+        mb.tick();
+      }
+      EXPECT_EQ(mb.stats().packets_sent, 0u);
+      EXPECT_FALSE(mb.idle());
+      mb.tick();
+      EXPECT_EQ(mb.stats().packets_sent, 1u);
+      EXPECT_EQ(mb.stats().flushes_by_age, 1u);
+      EXPECT_TRUE(mb.idle());
+    }
+    c.barrier();
+  });
+}
+
+// Each age flush halves the channel's watermark, down to
+// kMinAggregationBytes, or to aggregation_bytes when that is smaller; a
+// size flush doubles it back.  The watermark shows as the records a send
+// loop takes to trigger a size flush, compared with fresh mailboxes whose
+// aggregation_bytes is the expected watermark.
+TEST(Mailbox, AgeFlushesHalveTheWatermarkDownToTheFloor) {
+  launch(2, [](runtime::comm& c) {
+    constexpr std::size_t kAgg = 1 << 13;
+    constexpr std::size_t kSmall = 128;  // below kMinAggregationBytes
+    static_assert(kSmall < routed_mailbox::kMinAggregationBytes);
+    routed_mailbox mb(c, {topology::direct, kAgg, kMailTag});
+    routed_mailbox half(c, {topology::direct, kAgg / 2, kMailTag});
+    routed_mailbox lowest(
+        c, {topology::direct, routed_mailbox::kMinAggregationBytes, kMailTag});
+    routed_mailbox small(c, {topology::direct, kSmall, kMailTag});
+    if (c.rank() == 0) {
+      const int at_half = records_until_size_flush(half);
+      const int at_floor = records_until_size_flush(lowest);
+      const int at_small = records_until_size_flush(small);
+      EXPECT_LT(at_small, at_floor);
+      EXPECT_LT(at_floor, at_half);
+
+      age_flush_one(mb);
+      EXPECT_EQ(records_until_size_flush(mb), at_half);
+      // The size flush doubled it back to kAgg; five halvings reach the
+      // floor (8 KiB -> 4 -> 2 -> 1 KiB -> 512 B) and the fifth stays.
+      for (int i = 0; i < 5; ++i) age_flush_one(mb);
+      EXPECT_EQ(mb.stats().flushes_by_age, 6u);
+      EXPECT_EQ(records_until_size_flush(mb), at_floor);
+
+      age_flush_one(small);
+      EXPECT_EQ(small.stats().flushes_by_age, 1u);
+      EXPECT_EQ(records_until_size_flush(small), at_small);
+    }
+    c.barrier();
+  });
+}
+
 TEST(Mailbox, IdleReflectsBufferedState) {
   launch(2, [](runtime::comm& c) {
     routed_mailbox mb(c, {topology::direct, 1 << 16, kMailTag});

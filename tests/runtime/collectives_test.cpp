@@ -63,6 +63,39 @@ TEST_P(CollectivesP, AllGatherV) {
   });
 }
 
+// all_gatherv_into refills a caller-owned buffer: the same rank-ordered
+// concatenation and counts as all_gatherv, with the capacity kept, so a
+// second gather that fits reuses the first one's allocation.
+TEST_P(CollectivesP, AllGatherVIntoReusesTheBuffer) {
+  const int p = GetParam();
+  launch(p, [p](comm& c) {
+    std::vector<int> out;
+    std::vector<std::size_t> counts;
+    for (const int round : {2, 1}) {
+      // Rank r contributes round * (r + 1) copies of r * 10 + round.
+      const std::vector<int> mine(
+          static_cast<std::size_t>(round * (c.rank() + 1)),
+          c.rank() * 10 + round);
+      const int* before = out.data();
+      c.all_gatherv_into(std::span<const int>(mine), out, &counts);
+      if (round == 1) {
+        EXPECT_EQ(out.data(), before);
+      }
+      EXPECT_EQ(out, c.all_gatherv(std::span<const int>(mine)));
+      ASSERT_EQ(counts.size(), static_cast<std::size_t>(p));
+      std::size_t i = 0;
+      for (int r = 0; r < p; ++r) {
+        ASSERT_EQ(counts[static_cast<std::size_t>(r)],
+                  static_cast<std::size_t>(round * (r + 1)));
+        for (std::size_t k = 0; k < counts[static_cast<std::size_t>(r)]; ++k) {
+          EXPECT_EQ(out[i++], r * 10 + round);
+        }
+      }
+      EXPECT_EQ(i, out.size());
+    }
+  });
+}
+
 TEST_P(CollectivesP, AllToAllV) {
   const int p = GetParam();
   launch(p, [p](comm& c) {
@@ -72,11 +105,33 @@ TEST_P(CollectivesP, AllToAllV) {
       outgoing[static_cast<std::size_t>(d)].assign(
           static_cast<std::size_t>(d + 1), c.rank() * 100 + d);
     }
-    const auto incoming = c.all_to_allv(outgoing);
+    const auto incoming = c.all_to_allv(std::move(outgoing));
     ASSERT_EQ(incoming.size(), static_cast<std::size_t>(p));
     for (int s = 0; s < p; ++s) {
       const auto& from_s = incoming[static_cast<std::size_t>(s)];
       ASSERT_EQ(from_s.size(), static_cast<std::size_t>(c.rank() + 1));
+      for (const int v : from_s) EXPECT_EQ(v, s * 100 + c.rank());
+    }
+  });
+}
+
+// This rank's own run crosses the exchange by move: incoming[rank] is the
+// buffer the caller filled, not a copy, and every other run still arrives
+// intact while that buffer changes hands.
+TEST_P(CollectivesP, AllToAllVMovesOwnRun) {
+  const int p = GetParam();
+  launch(p, [p](comm& c) {
+    const auto me = static_cast<std::size_t>(c.rank());
+    std::vector<std::vector<int>> outgoing(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) {
+      outgoing[static_cast<std::size_t>(d)].assign(64, c.rank() * 100 + d);
+    }
+    const int* own = outgoing[me].data();
+    const auto incoming = c.all_to_allv(std::move(outgoing));
+    EXPECT_EQ(incoming[me].data(), own);
+    for (int s = 0; s < p; ++s) {
+      const auto& from_s = incoming[static_cast<std::size_t>(s)];
+      ASSERT_EQ(from_s.size(), 64u);
       for (const int v : from_s) EXPECT_EQ(v, s * 100 + c.rank());
     }
   });

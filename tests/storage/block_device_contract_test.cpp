@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "storage/block_device.hpp"
-#include "storage/mmap_device.hpp"
+#include "support/file_device.hpp"
 
 namespace sfg::storage {
 namespace {
@@ -52,15 +52,7 @@ struct file_holder {
   file_holder() { dev.write(0, device_content()); }
   ~file_holder() { std::filesystem::remove(path); }
   std::string path = tmp_path("sfg_contract_file_");
-  file_device dev{path, /*truncate=*/true};
-};
-
-struct mmap_holder {
-  static constexpr const char* kName = "mmap";
-  mmap_holder() { dev.write(0, device_content()); }
-  ~mmap_holder() { std::filesystem::remove(path); }
-  std::string path = tmp_path("sfg_contract_mmap_");
-  mmap_device dev{path, kDeviceBytes};
+  test::file_device dev{path, /*truncate=*/true};
 };
 
 struct sim_nvram_holder {
@@ -93,7 +85,7 @@ struct holder_names {
 };
 
 using device_holders =
-    ::testing::Types<memory_holder, file_holder, mmap_holder, sim_nvram_holder>;
+    ::testing::Types<memory_holder, file_holder, sim_nvram_holder>;
 TYPED_TEST_SUITE(BlockDeviceContract, device_holders, holder_names);
 
 TYPED_TEST(BlockDeviceContract, SizeIsContentSize) {

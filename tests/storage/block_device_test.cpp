@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/file_device.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -66,12 +67,12 @@ TEST(FileDevice, RoundTrip) {
       (std::filesystem::temp_directory_path() / "sfg_filedev_test.bin")
           .string();
   {
-    file_device dev(path, /*truncate=*/true);
+    test::file_device dev(path, /*truncate=*/true);
     roundtrip_check(dev);
   }
   // Reopen without truncation: data persists.
   {
-    file_device dev(path, /*truncate=*/false);
+    test::file_device dev(path, /*truncate=*/false);
     const auto expected = pattern_bytes(10000, 42);
     std::vector<std::byte> back(10000);
     dev.read(128, back);
@@ -84,7 +85,7 @@ TEST(FileDevice, ReadPastEofZeroFills) {
   const auto path =
       (std::filesystem::temp_directory_path() / "sfg_filedev_eof.bin")
           .string();
-  file_device dev(path, true);
+  test::file_device dev(path, true);
   dev.write(0, pattern_bytes(10, 3));
   std::vector<std::byte> out(64, std::byte{0xff});
   dev.read(0, out);
@@ -93,7 +94,7 @@ TEST(FileDevice, ReadPastEofZeroFills) {
 }
 
 TEST(FileDevice, ThrowsOnBadPath) {
-  EXPECT_THROW(file_device("/nonexistent_dir_xyz/f.bin", true),
+  EXPECT_THROW(test::file_device("/nonexistent_dir_xyz/f.bin", true),
                std::runtime_error);
 }
 

@@ -8,8 +8,8 @@
 ///     flagging the hottest origin->dest pair
 ///   - enqueue->deliver latency quantiles per rank (sampled, log2)
 ///   - page-cache amplification from the registry snapshot: device
-///     bytes moved vs caller bytes requested, plus read/write/fault
-///     latency quantiles
+///     bytes read vs caller bytes requested, plus read/fault latency
+///     quantiles
 ///   - the N (default 8) hottest frames when the report has a
 ///     "cache_heat" section (page_cache::heat_json)
 ///
@@ -96,26 +96,21 @@ void render_cache(const json& doc) {
   if (!counters.is_object()) return;
   const double req = num_or(counters, "cache.bytes_requested");
   const double dev_rd = num_or(counters, "cache.dev_bytes_read");
-  const double dev_wr = num_or(counters, "cache.dev_bytes_written");
   const double hits = num_or(counters, "cache.hits");
   const double misses = num_or(counters, "cache.misses");
-  if (req + dev_rd + dev_wr + hits + misses == 0) {
+  if (req + dev_rd + hits + misses == 0) {
     std::printf("page cache: no activity recorded\n");
     return;
   }
-  std::printf("page cache: %s requested, %s device-read, %s device-written",
-              human_bytes(req).c_str(), human_bytes(dev_rd).c_str(),
-              human_bytes(dev_wr).c_str());
-  if (req > 0) {
-    std::printf(" | read-amp %.2fx write-amp %.2fx", dev_rd / req,
-                dev_wr / req);
-  }
+  std::printf("page cache: %s requested, %s device-read",
+              human_bytes(req).c_str(), human_bytes(dev_rd).c_str());
+  if (req > 0) std::printf(" | read-amp %.2fx", dev_rd / req);
   std::printf("\n");
   if (hits + misses > 0) {
     std::printf("            %.0f hits / %.0f misses (%.1f%% hit rate)\n",
                 hits, misses, 100.0 * hits / (hits + misses));
   }
-  for (const char* name : {"cache.read_us", "cache.write_us", "cache.fault_us"}) {
+  for (const char* name : {"cache.read_us", "cache.fault_us"}) {
     const json& hist = member(member(metrics, "histograms"), name);
     if (num_or(hist, "count") == 0) continue;
     std::printf("            %-14s p50 %.0fus p90 %.0fus p99 %.0fus "

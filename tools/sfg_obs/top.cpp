@@ -44,13 +44,12 @@ namespace {
 /// Process-wide rates in a sample's "rates" object, as `top` merges and
 /// prints them.
 enum : std::size_t {
-  kPackets, kPacketBytes, kHits, kMisses, kWritebacks,
-  kCommBytes, kReqBytes, kDevRead, kDevWrite, kRates
+  kPackets, kPacketBytes, kHits, kMisses, kCommBytes, kReqBytes, kDevRead,
+  kRates
 };
 constexpr const char* kRateKeys[kRates] = {
-    "packets_sent",    "packet_bytes_sent", "cache_hits",
-    "cache_misses",    "cache_writebacks",  "comm_bytes_sent",
-    "bytes_requested", "dev_bytes_read",    "dev_bytes_written"};
+    "packets_sent",    "packet_bytes_sent", "cache_hits",     "cache_misses",
+    "comm_bytes_sent", "bytes_requested",   "dev_bytes_read"};
 
 /// One rank's most recent sample, flattened for rendering.
 struct rank_row {
@@ -173,11 +172,11 @@ void render(const std::vector<rank_row>& rows, const std::string& dir) {
               rows.size(), dir.c_str(), static_cast<unsigned long long>(max_seq));
   std::printf(
       "progress: %llu visitors executed, %s/s | mailbox %s pkt/s %sB/s | "
-      "cache %s hit/s %s miss/s %s wb/s\n",
+      "cache %s hit/s %s miss/s\n",
       static_cast<unsigned long long>(total_exec),
       human_rate(exec_rate).c_str(), human_rate(w[kPackets]).c_str(),
       human_rate(w[kPacketBytes]).c_str(), human_rate(w[kHits]).c_str(),
-      human_rate(w[kMisses]).c_str(), human_rate(w[kWritebacks]).c_str());
+      human_rate(w[kMisses]).c_str());
   // Comm B/s is transport payload and mailbox B/s above includes packet
   // headers, so their ratio is wire amplification; device-bytes vs
   // requested-bytes is live read amplification.
@@ -185,9 +184,8 @@ void render(const std::vector<rank_row>& rows, const std::string& dir) {
   if (w[kCommBytes] > 0 && w[kPacketBytes] > 0) {
     std::printf(" (wire-amp %.2fx)", w[kPacketBytes] / w[kCommBytes]);
   }
-  std::printf(" | io req %sB/s dev-rd %sB/s dev-wr %sB/s",
-              human_rate(w[kReqBytes]).c_str(), human_rate(w[kDevRead]).c_str(),
-              human_rate(w[kDevWrite]).c_str());
+  std::printf(" | io req %sB/s dev-rd %sB/s", human_rate(w[kReqBytes]).c_str(),
+              human_rate(w[kDevRead]).c_str());
   if (w[kReqBytes] > 0 && w[kDevRead] > 0) {
     std::printf(" (read-amp %.2fx)", w[kDevRead] / w[kReqBytes]);
   }
