@@ -216,9 +216,9 @@ class comm {
 
   /// Personalized all-to-all: `outgoing[d]` is this rank's data for rank d
   /// (outgoing.size() == size()).  Returns incoming[s] = data rank s sent
-  /// to this rank.  This rank's own run is moved, not copied, and
-  /// `outgoing` is left empty: between the two barriers every other rank
-  /// reads only its own index of the published vector.
+  /// to this rank.  This rank's own run is moved, not copied: between the
+  /// two barriers every other rank reads only its own index of the
+  /// published vector.
   template <typename T>
   std::vector<std::vector<T>> all_to_allv(
       std::vector<std::vector<T>>&& outgoing) {
@@ -235,7 +235,6 @@ class comm {
       in = (*theirs)[static_cast<std::size_t>(rank_)];
     }
     barrier();
-    outgoing.clear();
     return incoming;
   }
 

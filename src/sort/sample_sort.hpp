@@ -124,6 +124,7 @@ std::vector<T> sample_sort(runtime::comm& c, std::vector<T> local, Key key) {
     local = {};
   }
   const auto incoming = c.all_to_allv(std::move(outgoing));
+  outgoing = {};
   return merge_runs(incoming, key);
 }
 
@@ -165,6 +166,7 @@ std::vector<T> rebalance_even(runtime::comm& c, std::vector<T> local) {
     outgoing[static_cast<std::size_t>(r)].assign(mine.begin(), mine.end());
   }
   const auto incoming = c.all_to_allv(std::move(outgoing));
+  outgoing = {};
   std::vector<T> result;
   result.reserve(
       static_cast<std::size_t>(owner_begin(me + 1) - owner_begin(me)));
