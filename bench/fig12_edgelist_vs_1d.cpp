@@ -39,7 +39,7 @@ int main() {
         } else {
           auto g = sfg::graph::build_in_memory_graph(c, std::move(edges),
                                                      {.num_ghosts = 256});
-          local_edges = g.blueprint().adj_bits.size();
+          local_edges = g.local_edge_count();
           const auto hub = sfg::bench::pick_hub_gid(g);
           mm = sfg::bench::measure_bfs(g, g.locate(hub), {});
         }

@@ -1,14 +1,10 @@
 /// \file micro_frontier.cpp
 /// Frontier hot-path microbenches (core/frontier.hpp): the per-level
-/// operations of the level-synchronous BFS driver — insert, membership
-/// test, iteration in both representations, clear, and the full
-/// level-cycle (insert batch / flip / iterate) that the driver runs once
-/// per BFS level.  Rows cover both regimes: `sparse` keeps the set under
-/// the accelerator budget (num_bits / kSparseDivisor); `dense` overflows
-/// it so iteration falls back to the bitmap word scan.
-///
-/// The `frontier/level_cycle/*` rows are the ones that matter: they are
-/// the exact allocation-free loop tests/core/frontier_alloc_test.cpp pins,
+/// rhythm of the level-synchronous BFS on its next-frontier bitmap — a
+/// batch of claim inserts, then the clear that readies the bitmap for the
+/// next level.  `sparse` inserts one vertex per 64 slots, `dense` one per
+/// 4, so the clear's word fill weighs more in the sparse row.  This is
+/// the loop tests/core/frontier_alloc_test.cpp pins as allocation-free,
 /// so a regression here is a regression in every level of every
 /// level-synchronous traversal.
 #include <cstddef>
@@ -37,21 +33,21 @@ std::vector<std::uint32_t> make_targets(std::size_t n, std::uint64_t seed) {
 
 int main() {
   micro::suite s("micro_frontier",
-                 "dual-representation frontier ops at 2^20 bits: insert / "
-                 "test / for_each / clear in the sparse and dense regimes, "
-                 "plus the per-level insert+flip+iterate cycle of the "
-                 "level-synchronous BFS driver");
+                 "next-frontier bitmap at 2^20 bits: a batch of inserts "
+                 "plus the clear, the per-level rhythm of the "
+                 "level-synchronous BFS, at two frontier densities");
 
-  const std::size_t sparse_n = kBits / core::frontier::kSparseDivisor / 2;
-  const std::size_t dense_n = kBits / 4;  // 4x over the sparse budget
+  const std::size_t sparse_n = kBits / 64;
+  const std::size_t dense_n = kBits / 4;
   const auto sparse_targets = make_targets(sparse_n, 101);
   const auto dense_targets = make_targets(dense_n, 202);
 
-  // Insert throughput per regime (clear() between batches is part of the
-  // real per-level rhythm, so it stays inside the measured loop).
+  // clear() between batches is part of the real per-level rhythm, so it
+  // stays inside the measured loop.
   s.run("frontier/insert/sparse", static_cast<double>(sparse_n),
         [&](std::uint64_t iters) {
-          core::frontier f(kBits);
+          core::frontier f;
+          f.resize(kBits);
           std::uint64_t sink = 0;
           for (std::uint64_t it = 0; it < iters; ++it) {
             for (const std::uint32_t i : sparse_targets) f.insert(i);
@@ -62,73 +58,13 @@ int main() {
         });
   s.run("frontier/insert/dense", static_cast<double>(dense_n),
         [&](std::uint64_t iters) {
-          core::frontier f(kBits);
+          core::frontier f;
+          f.resize(kBits);
           std::uint64_t sink = 0;
           for (std::uint64_t it = 0; it < iters; ++it) {
             for (const std::uint32_t i : dense_targets) f.insert(i);
             sink += f.count();
             f.clear();
-          }
-          micro::keep(sink);
-        });
-
-  // Membership test — the bottom-up probe's inner operation.
-  s.run("frontier/test", static_cast<double>(dense_n),
-        [&](std::uint64_t iters) {
-          core::frontier f(kBits);
-          for (const std::uint32_t i : sparse_targets) f.insert(i);
-          std::uint64_t sink = 0;
-          for (std::uint64_t it = 0; it < iters; ++it) {
-            for (const std::uint32_t i : dense_targets) {
-              sink += static_cast<std::uint64_t>(f.test(i));
-            }
-          }
-          micro::keep(sink);
-        });
-
-  // Iteration per regime — the top-down scan's outer loop.
-  s.run("frontier/for_each/sparse", static_cast<double>(sparse_n),
-        [&](std::uint64_t iters) {
-          core::frontier f(kBits);
-          for (const std::uint32_t i : sparse_targets) f.insert(i);
-          std::uint64_t sink = 0;
-          for (std::uint64_t it = 0; it < iters; ++it) {
-            f.for_each([&](std::size_t i) { sink += i; });
-          }
-          micro::keep(sink);
-        });
-  s.run("frontier/for_each/dense", static_cast<double>(dense_n),
-        [&](std::uint64_t iters) {
-          core::frontier f(kBits);
-          for (const std::uint32_t i : dense_targets) f.insert(i);
-          std::uint64_t sink = 0;
-          for (std::uint64_t it = 0; it < iters; ++it) {
-            f.for_each([&](std::size_t i) { sink += i; });
-          }
-          micro::keep(sink);
-        });
-
-  // The per-level cycle the BFS driver runs: fill next, flip, iterate
-  // cur.  One "op" = one vertex through the whole cycle.
-  s.run("frontier/level_cycle/sparse", static_cast<double>(sparse_n),
-        [&](std::uint64_t iters) {
-          core::frontier cur(kBits), next(kBits);
-          std::uint64_t sink = 0;
-          for (std::uint64_t it = 0; it < iters; ++it) {
-            for (const std::uint32_t i : sparse_targets) next.insert(i);
-            core::flip(cur, next);
-            cur.for_each([&](std::size_t i) { sink += i; });
-          }
-          micro::keep(sink);
-        });
-  s.run("frontier/level_cycle/dense", static_cast<double>(dense_n),
-        [&](std::uint64_t iters) {
-          core::frontier cur(kBits), next(kBits);
-          std::uint64_t sink = 0;
-          for (std::uint64_t it = 0; it < iters; ++it) {
-            for (const std::uint32_t i : dense_targets) next.insert(i);
-            core::flip(cur, next);
-            cur.for_each([&](std::size_t i) { sink += i; });
           }
           micro::keep(sink);
         });

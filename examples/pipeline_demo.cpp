@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   sfg::runtime::launch(num_ranks, [&](sfg::runtime::comm& c) {
     auto bp = sfg::io::load_blueprints(c, ckpt_base);
-    sfg::graph::in_memory_edges store(bp.adj_bits);
+    sfg::graph::in_memory_edges store(std::move(bp.adj_bits));
     sfg::graph::distributed_graph<sfg::graph::in_memory_edges> g(
         c, std::move(bp), std::move(store));
 

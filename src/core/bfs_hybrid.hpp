@@ -5,8 +5,7 @@
 /// high-diameter external-memory graphs; on low-diameter scale-free
 /// inputs most visitors are wasted edge checks.  This driver implements
 /// the Beamer / Buluç–Madduri alternative on top of the same partitioned
-/// graph: a level-synchronous traversal over an explicit frontier
-/// (core/frontier.hpp) that runs each level either
+/// graph: a level-synchronous traversal that runs each level either
 ///
 ///   top-down   — every rank scans the adjacency slices of frontier
 ///                vertices it holds (master or replica — slices are
@@ -24,8 +23,9 @@
 /// matrix (ctest -L bfsmodes) checks levels against.
 ///
 /// Level protocol (the bitmap broadcast, DESIGN.md §13):
-///   1. all_gatherv_into of each rank's next-frontier packed words →
-///      rank-ordered global frontier bitmap (bit = (owner, local_id));
+///   1. all_gatherv_into of each rank's next-frontier bitmap
+///      (core/frontier.hpp) → rank-ordered global frontier bitmap (bit =
+///      (owner, local_id)); the local bitmap is then cleared;
 ///   2. one all_reduce carries frontier vertex count, frontier edge
 ///      mass, and remaining unvisited edge mass — the α/β inputs;
 ///   3. scan (direction per the heuristic) through one row walker, so
@@ -49,7 +49,6 @@
 #include <functional>
 #include <optional>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/bfs.hpp"
@@ -61,7 +60,7 @@
 #include "obs/json.hpp"
 #include "obs/phase.hpp"
 #include "runtime/comm.hpp"
-#include "util/rng.hpp"
+#include "util/chaos.hpp"
 
 namespace sfg::core {
 
@@ -167,7 +166,9 @@ class level_sync_bfs {
         cfg_(cfg),
         mailbox_(g.comm(),
                  {cfg.queue.topo, cfg.queue.aggregation_bytes, kDataTag}),
-        state_(g.template make_state<bfs_state>(bfs_state{})) {}
+        state_(g.template make_state<bfs_state>(bfs_state{})),
+        chaos_(cfg.queue.faults.seed,
+               0xB01DFACEu ^ static_cast<std::uint64_t>(g.rank())) {}
 
   mode_bfs_result<Graph> run(graph::vertex_locator source) {
     runtime::comm& c = graph_->comm();
@@ -177,7 +178,6 @@ class level_sync_bfs {
     // ((owner, local_id) → word_off_[owner] + local_id/64).  Sizes are
     // fixed for the whole traversal, so every per-level buffer below
     // reaches steady-state capacity at level 0.
-    cur_.resize(graph_->num_slots());
     next_.resize(graph_->num_slots());
     const auto word_counts =
         c.all_gather(static_cast<std::uint64_t>(next_.words().size()));
@@ -207,11 +207,6 @@ class level_sync_bfs {
     std::int64_t switch_level = -1;
     bool bottom_up = cfg_.mode == bfs_mode::bottomup;
     std::uint64_t prev_sent = 0;
-    const bool chaos_on =
-        cfg_.queue.faults.enabled() && cfg_.queue.faults.stall_prob > 0;
-    util::chaos_stream chaos(cfg_.queue.faults.seed,
-                             0xB01DFACEu ^ static_cast<std::uint64_t>(
-                                               graph_->rank()));
 
     for (std::uint64_t level = 0;; ++level) {
       // (1) Bitmap broadcast: next-frontier words, rank-ordered.
@@ -270,20 +265,17 @@ class level_sync_bfs {
                      stats_.visitors_executed);
 
       level_ = level;
-      flip(cur_, next_);
+      next_.clear();  // gathered above; now collects this level's claims
       next_mass_ = 0;
 
       // (3) Scan + (4) counting quiescence over the claims.
-      if (chaos_on && chaos.decide(cfg_.queue.faults.stall_prob)) {
-        std::this_thread::sleep_for(
-            chaos.duration_up_to(cfg_.queue.faults.max_stall));
-      }
+      traversal_observer::stall(cfg_.queue.faults, chaos_);
       if (bottom_up) {
         bottom_up_scan();
       } else {
         top_down_scan();
       }
-      const std::uint64_t level_sent = quiesce(c, chaos_on, chaos);
+      const std::uint64_t level_sent = quiesce(c);
 
       levels.push_back({level, bottom_up, totals.vertices, totals.edges,
                         level_sent - prev_sent});
@@ -377,8 +369,7 @@ class level_sync_bfs {
   /// which includes fault-delayed and duplicated packets, so a stale
   /// packet can never leak into the next level's counters).  Returns the
   /// cumulative records_sent at quiescence (per-level delta = claims).
-  std::uint64_t quiesce(runtime::comm& c, bool chaos_on,
-                        util::chaos_stream& chaos) {
+  std::uint64_t quiesce(runtime::comm& c) {
     auto deliver = [this](int /*origin*/, std::span<const std::byte> bytes) {
       bfs_claim cl;
       std::memcpy(&cl, bytes.data(), sizeof(bfs_claim));
@@ -387,10 +378,7 @@ class level_sync_bfs {
     for (;;) {
       {
         const obs::phase_scope poll_scope(obs::phase::poll);
-        if (chaos_on && chaos.decide(cfg_.queue.faults.stall_prob)) {
-          std::this_thread::sleep_for(
-              chaos.duration_up_to(cfg_.queue.faults.max_stall));
-        }
+        traversal_observer::stall(cfg_.queue.faults, chaos_);
         runtime::message m;
         while (c.try_recv(m)) mailbox_.process_packet(m, deliver);
         mailbox_.tick();
@@ -438,7 +426,8 @@ class level_sync_bfs {
   hybrid_bfs_config cfg_;
   mailbox::routed_mailbox mailbox_;
   graph::vertex_state<bfs_state> state_;
-  frontier cur_;
+  util::chaos_stream chaos_;  ///< injected stalls (queue_config::faults)
+  /// This level's claims at this rank's masters: next level's frontier.
   frontier next_;
   /// Word offset of each rank's section in the gathered global bitmap.
   std::vector<std::uint64_t> word_off_;

@@ -1,35 +1,25 @@
 /// \file frontier.hpp
-/// Dual-representation BFS frontier (DESIGN.md §13).
+/// BFS next-frontier bitmap (DESIGN.md §13).
 ///
-/// A level-synchronous traversal keeps two per-rank vertex sets: the
-/// current frontier (read-only this level) and the next frontier (write-
-/// only this level).  Following Buluç–Madduri's distributed BFS, the set
-/// is held in BOTH representations at once:
+/// The level-synchronous traversal collects the vertices its masters
+/// claim during a level in one packed bitmap (one bit per local slot,
+/// 64-bit words) with a tracked count.  The words are the wire format of
+/// the per-level broadcast; after the gather the traversal clears the
+/// bitmap for the next level's claims.  No scan iterates it: a replica
+/// slice's frontier bit lives in its master's section of the gathered
+/// bitmap, so both scans walk every local source against the gathered
+/// words.
 ///
-///   - a dense bitmap (one bit per local slot, packed 64-bit words) — the
-///     wire format of the per-level broadcast and the O(1) membership
-///     test the bottom-up probe needs;
-///   - a sparse index list — iteration cost proportional to |frontier|
-///     when the frontier is small (the first and last levels of a
-///     scale-free BFS, where the bitmap scan would be almost all zeros).
-///
-/// The list is maintained opportunistically: inserts append to it until
-/// it overflows its preallocated budget (num_bits / kSparseDivisor), at
-/// which point the container degrades to dense-only iteration — the
-/// bitmap is always authoritative, the list is only an accelerator.
-///
-/// Allocation discipline: all memory is acquired in resize(); insert /
-/// test / clear / for_each / flip never touch the heap (the counting-new
-/// TU in tests/core/frontier_alloc_test.cpp enforces this), so the
-/// per-level flip in the BFS driver is allocation-free in steady state.
+/// Allocation discipline: all memory is acquired in resize(); insert and
+/// clear never touch the heap (the counting-new TU in
+/// tests/core/frontier_alloc_test.cpp enforces this), so the per-level
+/// cycle of the BFS is allocation-free in steady state.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "obs/mem.hpp"
@@ -39,32 +29,17 @@ namespace sfg::core {
 
 class frontier {
  public:
-  /// Sparse-list budget: one list slot per kSparseDivisor bits.  A
-  /// frontier denser than ~3% of the vertex set is cheaper to scan as a
-  /// bitmap than to chase through an index list.
-  static constexpr std::size_t kSparseDivisor = 32;
-
-  frontier() = default;
-  explicit frontier(std::size_t num_bits) { resize(num_bits); }
-
   /// Acquire capacity for `num_bits` bits and reset to empty.  The only
   /// member that allocates.
   void resize(std::size_t num_bits) {
     num_bits_ = num_bits;
     words_.assign(util::div_ceil(num_bits, 64), 0);
-    sparse_budget_ = num_bits / kSparseDivisor + 1;
-    sparse_.clear();
-    sparse_.reserve(sparse_budget_);
     count_ = 0;
-    dense_only_ = false;
     // All capacity is acquired here (see allocation discipline above), so
     // this is the one ledger sync the frontier ever needs — the hot
     // members stay charge-free as well as allocation-free.
-    mem_.set(words_.capacity() * sizeof(std::uint64_t) +
-             sparse_.capacity() * sizeof(std::uint32_t));
+    mem_.set(words_.capacity() * sizeof(std::uint64_t));
   }
-
-  [[nodiscard]] std::size_t num_bits() const noexcept { return num_bits_; }
 
   /// Set bit `i`; returns true if it was newly set.
   bool insert(std::size_t i) {
@@ -74,29 +49,11 @@ class frontier {
     if ((w & m) != 0) return false;
     w |= m;
     ++count_;
-    if (!dense_only_) {
-      if (sparse_.size() < sparse_budget_) {
-        sparse_.push_back(static_cast<std::uint32_t>(i));
-      } else {
-        // Over budget: drop the accelerator, keep the bitmap (no realloc).
-        dense_only_ = true;
-      }
-    }
     return true;
-  }
-
-  [[nodiscard]] bool test(std::size_t i) const {
-    assert(i < num_bits_);
-    return (words_[i >> 6] >> (i & 63)) & 1u;
   }
 
   /// Number of set bits (tracked, not recounted).
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-
-  /// True when the sparse accelerator has been dropped and iteration
-  /// falls back to the word scan.
-  [[nodiscard]] bool is_dense() const noexcept { return dense_only_; }
 
   /// The packed words — the wire format of the per-level bitmap
   /// broadcast (rank-ordered concatenation via comm::all_gatherv).
@@ -104,89 +61,17 @@ class frontier {
     return words_;
   }
 
-  /// Reset to empty without releasing capacity.  When still sparse, only
-  /// the words the sparse list names are zeroed (O(|frontier|)); a dense
-  /// frontier pays one memset-equivalent word fill.
+  /// Reset to empty without releasing capacity: one word fill.
   void clear() {
-    if (!dense_only_) {
-      for (const std::uint32_t i : sparse_) words_[i >> 6] = 0;
-    } else {
-      std::fill(words_.begin(), words_.end(), 0);
-    }
-    sparse_.clear();
+    std::fill(words_.begin(), words_.end(), 0);
     count_ = 0;
-    dense_only_ = false;
-  }
-
-  /// Visit every set bit.  Sparse: insertion order, O(|frontier|).
-  /// Dense: ascending bit order via a word scan.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    if (!dense_only_) {
-      for (const std::uint32_t i : sparse_) fn(static_cast<std::size_t>(i));
-      return;
-    }
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t bits = words_[w];
-      while (bits != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-        fn((w << 6) | b);
-        bits &= bits - 1;
-      }
-    }
-  }
-
-  /// Drop the sparse accelerator (dense-only iteration from here on).
-  void force_dense() noexcept {
-    sparse_.clear();
-    dense_only_ = true;
-  }
-
-  /// Rebuild the sparse list from the bitmap (ascending order).  Succeeds
-  /// — and returns to sparse iteration — only when the set fits the
-  /// preallocated budget; never allocates either way.
-  bool try_sparsify() {
-    if (count_ > sparse_budget_) return false;
-    sparse_.clear();
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t bits = words_[w];
-      while (bits != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-        sparse_.push_back(static_cast<std::uint32_t>((w << 6) | b));
-        bits &= bits - 1;
-      }
-    }
-    dense_only_ = false;
-    return true;
-  }
-
-  friend void swap(frontier& a, frontier& b) noexcept {
-    using std::swap;
-    swap(a.num_bits_, b.num_bits_);
-    swap(a.words_, b.words_);
-    swap(a.sparse_, b.sparse_);
-    swap(a.sparse_budget_, b.sparse_budget_);
-    swap(a.count_, b.count_);
-    swap(a.dense_only_, b.dense_only_);
-    swap(a.mem_, b.mem_);
   }
 
  private:
   std::size_t num_bits_ = 0;
   std::vector<std::uint64_t> words_;
-  std::vector<std::uint32_t> sparse_;
-  std::size_t sparse_budget_ = 0;
   std::size_t count_ = 0;
-  bool dense_only_ = false;
   obs::mem_tracker mem_{obs::mem_subsystem::frontier};
 };
-
-/// Level flip: `next` becomes the current frontier, and the vacated
-/// buffer is cleared for the coming level's inserts.  Pure pointer swaps
-/// plus a clear that reuses capacity — no allocation.
-inline void flip(frontier& cur, frontier& next) noexcept {
-  swap(cur, next);
-  next.clear();
-}
 
 }  // namespace sfg::core

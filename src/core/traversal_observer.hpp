@@ -31,6 +31,8 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/fault.hpp"
+#include "util/chaos.hpp"
 
 namespace sfg::core {
 
@@ -148,9 +150,12 @@ class traversal_observer {
     progress(depth, epoch, executed_total);
   }
 
-  /// Injected rank stall (queue_config::faults): this rank sleeps
-  /// mid-traversal, and the fault lands in the black box first.
-  static void stall(std::chrono::nanoseconds d) {
+  /// Injected rank stall (queue_config::faults): with probability
+  /// `f.stall_prob` per call this rank sleeps mid-traversal, and the fault
+  /// lands in the black box first.
+  static void stall(const runtime::fault_params& f, util::chaos_stream& chaos) {
+    if (f.stall_prob <= 0 || !chaos.decide(f.stall_prob)) return;
+    const std::chrono::nanoseconds d = chaos.duration_up_to(f.max_stall);
     obs::flight_record(
         obs::flight_kind::fault_stall,
         static_cast<std::uint64_t>(

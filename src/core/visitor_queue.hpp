@@ -122,7 +122,6 @@ class visitor_queue {
     runtime::comm& c = graph_->comm();
     traversal_observer observer(c, mailbox_, observed_);
     runtime::tree_termination term(c, kControlTag);
-    const bool chaos_on = cfg_.faults.enabled() && cfg_.faults.stall_prob > 0;
     util::chaos_stream chaos(cfg_.faults.seed,
                              0x51A11u ^ static_cast<std::uint64_t>(
                                             graph_->rank()));
@@ -145,9 +144,7 @@ class visitor_queue {
         // Injected rank stall: this rank sleeps mid-traversal while the
         // others keep running — the adversarial scheduling that quiescence
         // detection and replica forwarding must survive.
-        if (chaos_on && chaos.decide(cfg_.faults.stall_prob)) {
-          observer.stall(chaos.duration_up_to(cfg_.faults.max_stall));
-        }
+        observer.stall(cfg_.faults, chaos);
         {
           // Receive: control messages feed the detector, data packets feed
           // the mailbox (which delivers local records and re-forwards

@@ -100,7 +100,8 @@ struct partition_blueprint {
 
   /// CSR over source slots; csr_offsets.size() == num_sources + 1.
   std::vector<std::uint64_t> csr_offsets;
-  /// Adjacency as locator bits, sorted ascending within each row.
+  /// Adjacency as locator bits, sorted ascending within each row.  The
+  /// graph factories move it into the edge store, leaving it empty.
   std::vector<std::uint64_t> adj_bits;
   /// Parallel to adj_bits when graph_build_config::make_weights is set.
   std::vector<std::uint32_t> adj_weight;

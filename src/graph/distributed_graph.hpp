@@ -36,8 +36,9 @@ class distributed_graph {
   using store_type = Store;
 
   /// Wrap a built blueprint plus its adjacency storage.  `store` must
-  /// contain exactly bp.adj_bits (the in-memory factory below does this;
-  /// external callers write the bits to a device first).
+  /// hold exactly the adjacency build_partition put in bp.adj_bits; the
+  /// factories below move it into the store or write it to a device, so
+  /// their graphs keep one copy and an empty bp.adj_bits.
   distributed_graph(runtime::comm& c, partition_blueprint bp, Store store)
       : comm_(&c),
         bp_(std::move(bp)),
@@ -72,8 +73,8 @@ class distributed_graph {
   [[nodiscard]] int master_rank(vertex_locator v) const noexcept {
     return v.owner();
   }
-  /// Local adjacency slice length (valid for external stores too, where
-  /// blueprint().adj_bits has been released).
+  /// Local adjacency slice length (the store holds the adjacency, not
+  /// blueprint().adj_bits).
   [[nodiscard]] std::uint64_t local_edge_count() const noexcept {
     return bp_.csr_offsets.empty() ? 0 : bp_.csr_offsets.back();
   }
@@ -305,7 +306,7 @@ inline distributed_graph<in_memory_edges> build_in_memory_graph(
     runtime::comm& c, std::vector<gen::edge64> edges,
     const graph_build_config& cfg = {}) {
   partition_blueprint bp = build_partition(c, std::move(edges), cfg);
-  in_memory_edges store(bp.adj_bits);
+  in_memory_edges store(std::move(bp.adj_bits));
   return distributed_graph<in_memory_edges>(c, std::move(bp), std::move(store));
 }
 

@@ -2,9 +2,9 @@
 /// Per-rank, per-subsystem memory attribution (DESIGN.md §15): the
 /// bytes-resident sibling of the flight/span recorders.  Every big
 /// allocator in the engine — mailbox aggregation arenas, the page-cache
-/// frame pool, the bucket-queue rings and spill heap, the
-/// dual-representation frontier, the replicated placement stream, the
-/// SNE edge cache, and the obs rings themselves — charges what it holds
+/// frame pool, the bucket-queue rings and spill heap, the BFS frontier
+/// bitmap, the replicated placement stream, the SNE edge cache, and the
+/// obs rings themselves — charges what it holds
 /// against a fixed subsystem enum, and releases it when the capacity
 /// leaves.  The ledger answers the question the paper's premise makes
 /// first-class ("DRAM per node is the scarce resource"): *where did the
@@ -63,7 +63,7 @@ enum class mem_subsystem : std::uint32_t {
   mailbox_arena,      ///< per-channel aggregation arenas + local double buffer
   cache_frames,       ///< page-cache frame pool backing buffers
   queue_buckets,      ///< bucket-queue rings, staged runs, spill heap
-  frontier,           ///< dual-representation frontier (bitmap + sparse)
+  frontier,           ///< level-synchronous BFS next-frontier bitmap
   builder_scratch,    ///< replicated placement: gathered stream + owners
   partitioner_cache,  ///< SNE bounded edge cache + endpoint index
   obs,                ///< flight/span rings, time-series samplers

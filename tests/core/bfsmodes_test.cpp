@@ -21,8 +21,11 @@
 /// (BfsModesExternal): the same families with the adjacency behind a
 /// 16-frame page cache, checked against the serial levels and, level by
 /// level, against the claims of the in-memory run on the same partition.
+/// BfsModesFaults checks that the level-synchronous BFS's injected
+/// stalls reach the flight recorder as the visitor queue's do.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -36,6 +39,8 @@
 #include "gen/generators.hpp"
 #include "graph/distributed_graph.hpp"
 #include "graph/partitioner.hpp"
+#include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "reference/serial_graph.hpp"
 #include "runtime/runtime.hpp"
 #include "storage/block_device.hpp"
@@ -299,6 +304,63 @@ TEST(BfsModesExternal, SurvivesInjectedEvictions) {
   faults.seed = 4242;
   faults.evict_prob = 0.3;
   check_external_store(family::rmat, 4, faults);
+}
+
+// Injected stalls go through the traversal observer, as in the visitor
+// queue: with a stall drawn at every level start and every quiescence poll,
+// each rank records fault_stall events before it sleeps, and the levels
+// are still the serial BFS's.
+TEST(BfsModesFaults, HybridStallsLandInTheFlightRecorder) {
+  constexpr int kRanks = 4;
+  const auto edges = make_family(family::rmat);
+  const std::uint64_t source_gid = edges.front().src;
+  const auto ref = reference::serial_graph::from_edges(edges);
+  const auto exp = reference::serial_bfs(ref, source_gid);
+
+  const bool flight_was_on = obs::flight_on();
+  obs::set_flight_enabled(true);
+  obs::flight_clear();
+  launch(kRanks, [&](comm& c) {
+    const auto range = gen::slice_for_rank(edges.size(), c.rank(), kRanks);
+    std::vector<edge64> mine(
+        edges.begin() + static_cast<std::ptrdiff_t>(range.begin),
+        edges.begin() + static_cast<std::ptrdiff_t>(range.end));
+    auto g = build_in_memory_graph(c, mine, {});
+    const auto source = g.locate(source_gid);
+    ASSERT_TRUE(source.valid());
+
+    hybrid_bfs_config cfg;
+    cfg.queue.faults.seed = 31;
+    cfg.queue.faults.stall_prob = 1.0;
+    cfg.queue.faults.max_stall = std::chrono::microseconds(5);
+    auto result = run_bfs_mode(g, source, cfg);
+    const auto levels = gather_global(c, g, [&](std::size_t s) {
+      return result.state.local(s).level;
+    });
+    for (const auto& [gid, level] : levels) {
+      ASSERT_EQ(level, exp[gid]) << "vertex " << gid;
+    }
+  });
+
+  const obs::json doc = obs::flight_to_json("hybrid-stall");
+  obs::set_flight_enabled(flight_was_on);
+  const obs::json* ranks = doc.find("ranks");
+  ASSERT_NE(ranks, nullptr);
+  std::vector<int> stalls(kRanks, 0);
+  for (std::size_t i = 0; i < ranks->size(); ++i) {
+    const obs::json& r = ranks->at(i);
+    const std::int64_t rank = r.find("rank")->as_i64();
+    if (rank < 0 || rank >= kRanks) continue;
+    const obs::json& events = *r.find("events");
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      if (events.at(e).find("kind")->as_string() == "fault_stall") {
+        ++stalls[static_cast<std::size_t>(rank)];
+      }
+    }
+  }
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_GE(stalls[static_cast<std::size_t>(r)], 1) << "rank " << r;
+  }
 }
 
 }  // namespace

@@ -1,28 +1,19 @@
 /// \file frontier_test.cpp
-/// Property tests for the dual-representation BFS frontier
-/// (core/frontier.hpp): the bitmap is authoritative, the sparse list is
-/// an accelerator, and every transition between the two preserves the
-/// set.
+/// Property tests for the BFS next-frontier bitmap (core/frontier.hpp):
+/// inserts, the tracked count and the packed words agree, and clear and
+/// resize reset the set.
 #include "core/frontier.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <set>
-#include <vector>
 
 #include "util/rng.hpp"
 
 namespace sfg::core {
 namespace {
-
-std::vector<std::size_t> collect(const frontier& f) {
-  std::vector<std::size_t> out;
-  f.for_each([&](std::size_t i) { out.push_back(i); });
-  return out;
-}
 
 std::size_t popcount_words(const frontier& f) {
   std::size_t n = 0;
@@ -32,9 +23,15 @@ std::size_t popcount_words(const frontier& f) {
   return n;
 }
 
+bool word_bit(const frontier& f, std::size_t i) {
+  return (f.words()[i >> 6] >> (i & 63)) & 1u;
+}
+
 TEST(Frontier, InsertTestCountAgree) {
-  frontier f(1000);
-  EXPECT_TRUE(f.empty());
+  frontier f;
+  f.resize(1000);
+  EXPECT_EQ(f.count(), 0u);
+  EXPECT_EQ(f.words().size(), 16u);
   util::xoshiro256 rng(42);
   std::set<std::size_t> model;
   for (int i = 0; i < 600; ++i) {
@@ -45,98 +42,38 @@ TEST(Frontier, InsertTestCountAgree) {
   EXPECT_EQ(f.count(), model.size());
   EXPECT_EQ(popcount_words(f), model.size());
   for (std::size_t v = 0; v < 1000; ++v) {
-    EXPECT_EQ(f.test(v), model.count(v) != 0) << "bit " << v;
+    EXPECT_EQ(word_bit(f, v), model.count(v) != 0) << "bit " << v;
   }
 }
 
-TEST(Frontier, SparseIterationMatchesBitmap) {
-  frontier f(4096);
-  // Few inserts: stays sparse, iterates the list in insertion order.
-  const std::size_t picks[] = {17, 3, 4095, 64, 63};
-  for (const std::size_t v : picks) f.insert(v);
-  ASSERT_FALSE(f.is_dense());
-  EXPECT_EQ(collect(f), std::vector<std::size_t>(std::begin(picks),
-                                                 std::end(picks)));
-}
-
-TEST(Frontier, DenseSparseRoundTrip) {
-  frontier f(2048);
-  util::xoshiro256 rng(7);
-  std::set<std::size_t> model;
-  // Overflow the sparse budget (2048/32 + 1 = 65 entries) so the
-  // accelerator drops.
-  while (model.size() < 200) {
-    const auto v = static_cast<std::size_t>(rng.uniform_below(2048));
-    model.insert(v);
-    f.insert(v);
-  }
-  ASSERT_TRUE(f.is_dense());
-  // Dense iteration: ascending order, exactly the model.
-  auto dense = collect(f);
-  EXPECT_TRUE(std::is_sorted(dense.begin(), dense.end()));
-  EXPECT_EQ(dense, std::vector<std::size_t>(model.begin(), model.end()));
-  // Too big to sparsify; the set must be untouched by the attempt.
-  EXPECT_FALSE(f.try_sparsify());
-  EXPECT_TRUE(f.is_dense());
-
-  // Shrink the set via clear + reinsert under budget; sparsify succeeds
-  // and round-trips back to the same set, now as a sorted list.
-  f.clear();
-  for (std::size_t v = 100; v < 150; ++v) f.insert(v);
-  f.force_dense();
-  ASSERT_TRUE(f.is_dense());
-  EXPECT_TRUE(f.try_sparsify());
-  EXPECT_FALSE(f.is_dense());
-  auto sparse = collect(f);
-  std::vector<std::size_t> expect;
-  for (std::size_t v = 100; v < 150; ++v) expect.push_back(v);
-  EXPECT_EQ(sparse, expect);
-  EXPECT_EQ(f.count(), expect.size());
-}
-
-TEST(Frontier, ClearZeroesOnlyWhatWasSet) {
-  frontier f(512);
+TEST(Frontier, ClearEmptiesTheSet) {
+  frontier f;
+  f.resize(512);
   f.insert(1);
   f.insert(200);
   f.insert(511);
   f.clear();
-  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.count(), 0u);
   EXPECT_EQ(popcount_words(f), 0u);
-  // Dense clear path too.
   for (std::size_t v = 0; v < 512; v += 2) f.insert(v);
-  ASSERT_TRUE(f.is_dense());
   f.clear();
-  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.count(), 0u);
   EXPECT_EQ(popcount_words(f), 0u);
-  EXPECT_FALSE(f.is_dense());  // clear resets to the sparse regime
-}
-
-TEST(Frontier, FlipSwapsAndClearsNext) {
-  frontier cur(256);
-  frontier next(256);
-  next.insert(5);
-  next.insert(77);
-  cur.insert(3);  // stale previous-level content, must vanish
-  flip(cur, next);
-  EXPECT_EQ(cur.count(), 2u);
-  EXPECT_TRUE(cur.test(5));
-  EXPECT_TRUE(cur.test(77));
-  EXPECT_FALSE(cur.test(3));
-  EXPECT_TRUE(next.empty());
-  EXPECT_EQ(popcount_words(next), 0u);
-  // The vacated buffer is immediately usable for the coming level.
-  EXPECT_TRUE(next.insert(9));
-  EXPECT_EQ(next.count(), 1u);
+  // A bit set before the clear is new again.
+  EXPECT_TRUE(f.insert(200));
+  EXPECT_EQ(f.count(), 1u);
 }
 
 TEST(Frontier, ResizeResets) {
-  frontier f(64);
+  frontier f;
+  f.resize(64);
   f.insert(63);
   f.resize(128);
-  EXPECT_TRUE(f.empty());
-  EXPECT_FALSE(f.test(63));
-  EXPECT_EQ(f.num_bits(), 128u);
+  EXPECT_EQ(f.count(), 0u);
+  EXPECT_EQ(popcount_words(f), 0u);
+  EXPECT_EQ(f.words().size(), 2u);
   EXPECT_TRUE(f.insert(127));
+  EXPECT_TRUE(word_bit(f, 127));
 }
 
 }  // namespace

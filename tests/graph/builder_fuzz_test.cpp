@@ -85,7 +85,7 @@ TEST_P(BuilderFuzz, ReconstructionAndInvariants) {
     auto g = build_in_memory_graph(c, mine, cfg);
 
     if (kind == partitioner_kind::edge_list) {  // exact balance
-      const std::uint64_t local = g.blueprint().adj_bits.size();
+      const std::uint64_t local = g.local_edge_count();
       const auto base = g.total_edges() / static_cast<std::uint64_t>(p);
       EXPECT_GE(local, base);
       EXPECT_LE(local, base + 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -156,11 +157,30 @@ TEST_P(EdgeListBuilderP, EdgeBalanceIsExact) {
     const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
     auto g = build_in_memory_graph(
         c, gen::rmat_slice(rc, range.begin, range.end), {});
-    const std::uint64_t local = g.blueprint().adj_bits.size();
+    const std::uint64_t local = g.local_edge_count();
     const std::uint64_t total = g.total_edges();
     const auto base = total / static_cast<std::uint64_t>(p);
     EXPECT_GE(local, base);
     EXPECT_LE(local, base + 1);
+  });
+}
+
+// The in-memory factory moves the adjacency into the edge store, so the
+// graph holds one copy; the CSR offsets still describe the rows the store
+// walks.
+TEST_P(BuilderP, InMemoryGraphHoldsOneAdjacencyCopy) {
+  const gen::rmat_config rc{.scale = 8, .edge_factor = 8, .seed = 29};
+  launch(world(), [&](comm& c) {
+    const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
+    auto g = build_in_memory_graph(
+        c, gen::rmat_slice(rc, range.begin, range.end), config());
+    EXPECT_TRUE(g.blueprint().adj_bits.empty());
+    std::uint64_t walked = 0;
+    for (std::size_t s = 0; s < g.num_sources(); ++s) {
+      g.for_each_out_edge(s, [&](vertex_locator) { ++walked; });
+    }
+    EXPECT_EQ(g.local_edge_count(), walked);
+    EXPECT_EQ(c.all_reduce(walked, std::plus<>()), g.total_edges());
   });
 }
 
@@ -389,7 +409,7 @@ TEST_P(EdgeListBuilderP, HubDominatedGraphSplitsTheHub) {
     }
     EXPECT_TRUE(hub_found);
     // Local edge counts stay balanced despite the hub.
-    const std::uint64_t local = g.blueprint().adj_bits.size();
+    const std::uint64_t local = g.local_edge_count();
     const auto base = g.total_edges() / static_cast<std::uint64_t>(p);
     EXPECT_GE(local, base);
     EXPECT_LE(local, base + 1);
@@ -413,16 +433,14 @@ TEST(Builder, AdjacencyRowsAreSorted) {
     const auto range = gen::slice_for_rank(rc.num_edges(), c.rank(), c.size());
     auto g = build_in_memory_graph(
         c, gen::rmat_slice(rc, range.begin, range.end), {});
-    const auto& bp = g.blueprint();
-    for (std::size_t s = 0; s < bp.num_sources; ++s) {
-      EXPECT_TRUE(std::is_sorted(
-          bp.adj_bits.begin() + static_cast<std::ptrdiff_t>(bp.csr_offsets[s]),
-          bp.adj_bits.begin() +
-              static_cast<std::ptrdiff_t>(bp.csr_offsets[s + 1])));
-      // has_local_out_edge agrees with a linear scan.
+    for (std::size_t s = 0; s < g.num_sources(); ++s) {
+      std::vector<std::uint64_t> row;
       g.for_each_out_edge(s, [&](vertex_locator t) {
+        row.push_back(t.bits());
+        // has_local_out_edge agrees with a linear scan.
         EXPECT_TRUE(g.has_local_out_edge(s, t));
       });
+      EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
       EXPECT_FALSE(g.has_local_out_edge(s, vertex_locator::invalid()));
     }
   });
